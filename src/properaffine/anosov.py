@@ -21,6 +21,7 @@ from .core import (
 from .group import evaluate_word, word_ball
 from .margulis import spectrum
 from .proximal import (
+    AmsCover,
     NotProximalError,
     TransversalityError,
     ams_cover,
@@ -206,24 +207,32 @@ class Scorecard:
     max_residual: float
     spectrum_verdict: object
     skipped_words: tuple
-    cover_failures: tuple
-    cover_set_size: int
+    cover: AmsCover
     thresholds: dict
     verdict: ScorecardVerdict
     disclaimer: str = SCORECARD_DISCLAIMER
+
+    @property
+    def cover_failures(self):
+        return self.cover.failures
+
+    @property
+    def cover_set_size(self):
+        return len(self.cover.correcting_set)
 
 
 def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
                             seed=0, search_length=1, kmax=20,
                             margin_threshold=1e-6, residual_threshold=1e-6,
-                            slope_threshold=1e-6, zero_tol=None, label=""):
+                            slope_threshold=1e-6, zero_tol=None, label="",
+                            _bank=None):
     """Combined scorecard: transversality, contraction, sign test, cover search.
 
     Contraction traces run on the proximal length-1 words: those are the
     elements the catalog pins down, and for longer non-normal products the
     restricted singular values carry a transient that decays only
     geometrically, which would drown the residual threshold without saying
-    anything about contraction itself.
+    anything about contraction itself.  _bank is handed to ams_cover.
     """
     samples_list, skipped = limit_map_samples(rep, ball_length)
     generator_words = word_ball(rep.rank, 1)
@@ -254,7 +263,7 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
     spec = spectrum(rep, ball_length, zero_tol=zero_tol, label=label)
     cover = ams_cover(rep, r=r, eps=eps, ball_length=ball_length,
                       search_length=search_length, samples=samples, seed=seed,
-                      tol=rep.tol)
+                      tol=rep.tol, _bank=_bank)
 
     reasons = []
     if nonprox_generators:
@@ -299,7 +308,5 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
                      max_slope_deviation=float(slope_dev),
                      max_residual=float(residual),
                      spectrum_verdict=spec.verdict,
-                     skipped_words=tuple(skipped),
-                     cover_failures=cover.failures,
-                     cover_set_size=len(cover.correcting_set),
+                     skipped_words=tuple(skipped), cover=cover,
                      thresholds=thresholds, verdict=verdict)

@@ -1,8 +1,8 @@
 """Command line surface: check, spectrum, proximality, scorecard, catalog.
 
 Exit codes: 0 = analysis ran (whatever the verdict), 2 = invalid input
-document, 3 = invalid parameters.  Verdicts are data in the emitted reports,
-never exit codes.
+document, 3 = invalid parameters or a numerical failure.  Verdicts are data
+in the emitted reports, never exit codes.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import json
 import sys
 from pathlib import Path
 
+from .core import GeometryError
 from .repcatalog import CATALOG_NAMES, catalog
 from .group import MembershipError
 from .proximal import ParameterError
@@ -184,6 +185,9 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except GeometryError as exc:
+        print("error: numerical failure: %s" % exc, file=sys.stderr)
+        return EXIT_PARAMS
 
 
 if __name__ == "__main__":

@@ -241,13 +241,40 @@ def nontransverse_distance(space, x, x_minus):
     return float(np.linalg.svd(qx.T @ space.form @ qm, compute_uv=False)[-1])
 
 
+def _orthonormalize_stack(frames):
+    """orthonormalize_oriented applied to every matrix of a (..., dim, k) stack."""
+    q, r = np.linalg.qr(frames)
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    s[s == 0] = 1.0
+    return q * s[..., None, :]
+
+
 def sample_isotropic_bank(space, seed, samples):
-    """Deterministic bank of isotropic frames; sample i depends on (seed, i) only."""
-    frames = []
-    for i in range(samples):
-        g = random_so_element(space, np.random.default_rng((int(seed), int(i))))
-        frames.append(orthonormalize_oriented(g[:, : space.n]))
-    return frames
+    """Deterministic bank of isotropic frames as a (samples, dim, n) array.
+
+    Sample i is orthonormalize_oriented of the first n columns of a random
+    group element seeded by (seed, i), so it depends on (seed, i) only and a
+    smaller bank is a prefix of a larger one.
+    """
+    columns = np.empty((int(samples), space.dim, space.n))
+    for i in range(int(samples)):
+        g = random_so_element(space, np.random.default_rng((int(seed), i)))
+        columns[i] = g[:, : space.n]
+    return _orthonormalize_stack(columns)
+
+
+def _largest_angles(qa, qb):
+    """largest_principal_angle of each orthonormal frame in qa against qb.
+
+    The stacked form of core.principal_angles, with its hybrid cosine/sine
+    formula; qa and qb are already orthonormalized.
+    """
+    c = np.swapaxes(qa, -1, -2) @ qb
+    cosv = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, 1.0)
+    sinv = np.linalg.svd(qb - qa @ c, compute_uv=False)
+    sinv = np.clip(np.sort(sinv, axis=-1), 0.0, 1.0)
+    angles = np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv))
+    return angles.max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -287,7 +314,7 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
     g = np.asarray(g, dtype=float)
 
     if space.n == 1:
-        vecs = np.column_stack([f[:, 0] for f in bank])      # (dim, samples)
+        vecs = bank[:, :, 0].T                               # (dim, samples)
         pair = np.abs((space.form @ xm[:, 0]) @ vecs)        # distance to nt(x-)
         keep = pair >= eps
         admissible = int(np.count_nonzero(keep))
@@ -300,18 +327,21 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
         dists = np.arccos(cosines)
         margin = float(np.min(eps - dists))
     else:
-        margin = np.inf
-        admissible = 0
-        for frame in bank:
-            if nontransverse_distance(space, frame, xm) < eps:
-                continue
-            admissible += 1
-            d = grassmann_distance(orthonormalize_oriented(g @ frame), xp)
-            margin = min(margin, eps - d)
+        # nontransverse_distance and grassmann_distance over the whole bank;
+        # both re-orthonormalize their inputs, and repeating those QRs here
+        # keeps every value bitwise equal to the per-sample definitions
+        qm = orthonormalize_oriented(xm)
+        qx = _orthonormalize_stack(bank)
+        pairing = np.linalg.svd(np.swapaxes(qx, -1, -2) @ space.form @ qm,
+                                compute_uv=False)
+        keep = pairing[:, -1] >= eps
+        admissible = int(np.count_nonzero(keep))
         if admissible == 0:
             raise InsufficientSamplesError("no samples outside the eps-neighborhood "
                                            "of nt(x-)")
-        margin = float(margin)
+        img = _orthonormalize_stack(_orthonormalize_stack(g @ bank[keep]))
+        dists = _largest_angles(img, orthonormalize_oriented(xp))
+        margin = float(np.min(eps - dists))
 
     passed = separation >= r and margin > 0.0
     return ProximalityCertificate(r=float(r), eps=float(eps),
@@ -337,20 +367,21 @@ class AmsCover:
 
 
 def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
-              tol=DEFAULT_TOL):
+              tol=DEFAULT_TOL, _bank=None):
     """Search a finite set S with s*g (r, eps)-proximal for every ball word.
 
     For every word g in the ball, candidate correctors are tried in
     deterministic order (empty word first, then the search ball); the first s
     whose product passes the certificate wins.  Words with no corrector are
-    reported as failures, not errors.
+    reported as failures, not errors.  _bank, if given, must be
+    sample_isotropic_bank(rep.space, seed, samples).
     """
     if ball_length < 1 or search_length < 1:
         raise ParameterError("ball and search lengths must be >= 1")
     space = rep.space
     candidates = [EMPTY_WORD] + word_ball(rep.rank, search_length)
     candidate_lin = [evaluate_word(rep, s).linear for s in candidates]
-    bank = sample_isotropic_bank(space, seed, samples)
+    bank = sample_isotropic_bank(space, seed, samples) if _bank is None else _bank
     assignment = {}
     failures = []
     used = []

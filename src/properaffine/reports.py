@@ -23,6 +23,7 @@ from .proximal import (
     ParameterError,
     ams_cover,
     is_r_eps_proximal,
+    sample_isotropic_bank,
 )
 
 SCHEMA_VERSION = "1"
@@ -227,12 +228,21 @@ ALL_BLOCKS = ("spectrum", "scorecard", "proximality")
 
 
 def run_report(rep, params=None, label="", include=ALL_BLOCKS):
-    """Pipeline over the requested blocks; scorecard implies spectrum."""
+    """Pipeline over the requested blocks; scorecard implies spectrum.
+
+    The sample bank is built once and shared by every certificate, and the
+    cover is searched once: the proximality block reuses the scorecard's.
+    """
     params = params or ReportParameters()
     params.validate()
     include = tuple(include)
     timing = {}
     spectrum_block = scorecard_block = proximality_block = None
+    card = bank = None
+    if "scorecard" in include or "proximality" in include:
+        t0 = time.perf_counter()
+        bank = sample_isotropic_bank(rep.space, params.seed, params.samples)
+        timing["sample_bank_s"] = time.perf_counter() - t0
 
     if "spectrum" in include or "scorecard" in include:
         t0 = time.perf_counter()
@@ -254,7 +264,7 @@ def run_report(rep, params=None, label="", include=ALL_BLOCKS):
             search_length=params.search_length, kmax=params.kmax,
             margin_threshold=params.margin_threshold,
             residual_threshold=params.residual_threshold,
-            zero_tol=params.zero_tol, label=label)
+            zero_tol=params.zero_tol, label=label, _bank=bank)
         timing["scorecard_s"] = time.perf_counter() - t0
         scorecard_block = {
             "verdict": card.verdict.kind,
@@ -277,7 +287,7 @@ def run_report(rep, params=None, label="", include=ALL_BLOCKS):
             try:
                 cert = is_r_eps_proximal(rep.space, g.linear, params.r,
                                          params.eps, params.samples,
-                                         params.seed, tol=rep.tol)
+                                         params.seed, tol=rep.tol, _bank=bank)
                 certs.append({"generator": i + 1, "passed": bool(cert.passed),
                               "separation": cert.separation,
                               "margin_attract": cert.margin_attract,
@@ -285,10 +295,14 @@ def run_report(rep, params=None, label="", include=ALL_BLOCKS):
             except NotProximalError as exc:
                 certs.append({"generator": i + 1, "passed": False,
                               "error": "not proximal: %s" % exc})
-        cover = ams_cover(rep, r=params.r, eps=params.eps,
-                          ball_length=params.ball_length,
-                          search_length=params.search_length,
-                          samples=params.samples, seed=params.seed, tol=rep.tol)
+        if card is None:
+            cover = ams_cover(rep, r=params.r, eps=params.eps,
+                              ball_length=params.ball_length,
+                              search_length=params.search_length,
+                              samples=params.samples, seed=params.seed,
+                              tol=rep.tol, _bank=bank)
+        else:
+            cover = card.cover
         timing["proximality_s"] = time.perf_counter() - t0
         proximality_block = {
             "generator_certificates": certs,

@@ -288,6 +288,71 @@ class TestCertificates:
         assert cert.admissible > 0
 
 
+def reference_certificate(space, g, eps, bank, xm, xp):
+    """Per-sample (admissible, margin) loop, as the certificate defines them."""
+    admissible = 0
+    margin = np.inf
+    for frame in bank:
+        if proximal.nontransverse_distance(space, frame, xm) < eps:
+            continue
+        admissible += 1
+        d = proximal.grassmann_distance(core.orthonormalize_oriented(g @ frame), xp)
+        margin = min(margin, eps - d)
+    return admissible, float(margin)
+
+
+class TestBatchedCertificate:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_sample_loop(self, n, seed):
+        space = core.standard_form(n)
+        moduli = [3.0 ** (n - i) for i in range(n)]
+        d = np.diag(moduli + [1.0] + [1.0 / m for m in reversed(moduli)])
+        h = core.random_so_element(space, np.random.default_rng(40 + seed))
+        g = h @ d @ np.linalg.inv(h)
+        bank = proximal.sample_isotropic_bank(space, seed, 300)
+        split = proximal.spectral_split(space, g)
+        xp = core.orthonormalize_oriented(split.attracting.columns)
+        xm = core.orthonormalize_oriented(split.repelling.columns)
+        for r, eps in ((0.45, 0.21), (0.2, 0.05), (0.7, 0.3)):
+            cert = proximal.is_r_eps_proximal(space, g, r, eps, 300, seed)
+            admissible, margin = reference_certificate(space, g, eps, bank, xm, xp)
+            assert cert.admissible == admissible
+            assert cert.margin_attract == margin
+            assert cert.separation == proximal.nontransverse_distance(space, xp, xm)
+            assert cert.passed == (cert.separation >= r and margin > 0.0)
+
+    def test_insufficient_samples_n2(self, space2):
+        g = np.diag([3.0, 2.0, 1.0, 1 / 3.0, 0.5])
+        split = proximal.spectral_split(space2, g)
+        xm = core.orthonormalize_oriented(split.repelling.columns)
+        hit = None
+        for seed in range(300):
+            bank = proximal.sample_isotropic_bank(space2, seed, 2)
+            if all(proximal.nontransverse_distance(space2, f, xm) < 0.9 for f in bank):
+                hit = seed
+                break
+        assert hit is not None
+        with pytest.raises(proximal.InsufficientSamplesError):
+            proximal.is_r_eps_proximal(space2, g, 2.0, 0.9, 2, hit)
+
+
+class TestSampleBank:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sample_depends_on_seed_and_index_only(self, n):
+        space = core.standard_form(n)
+        bank = proximal.sample_isotropic_bank(space, 17, 40)
+        assert bank.shape == (40, space.dim, n)
+        for i in (0, 1, 23, 39):
+            g = core.random_so_element(space, np.random.default_rng((17, i)))
+            assert np.array_equal(bank[i], core.orthonormalize_oriented(g[:, :n]))
+
+    def test_small_bank_is_prefix(self, space2):
+        small = proximal.sample_isotropic_bank(space2, 5, 50)
+        large = proximal.sample_isotropic_bank(space2, 5, 200)
+        assert np.array_equal(small, large[:50])
+
+
 @pytest.fixture(scope="module")
 def schottky():
     return repcatalog.catalog_rep("margulis_positive_n1")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from properaffine import group, margulis, repcatalog, reports
+from properaffine import anosov, cli, core, group, margulis, proximal, repcatalog, reports
 from properaffine.cli import main
 
 
@@ -159,6 +159,38 @@ class TestRunReport:
             reports.run_report(rep, bad)
 
 
+class TestSharedWork:
+    """Each report builds one sample bank and searches the cover once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"sample_isotropic_bank": 0, "ams_cover": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            wrapped = counting(name, getattr(proximal, name))
+            for module in (proximal, anosov, reports):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        return counts
+
+    @pytest.mark.parametrize("include, expected", [
+        (reports.ALL_BLOCKS, 1),
+        (("proximality",), 1),
+        (("spectrum",), 0),
+    ])
+    def test_calls_per_report(self, counts, positive_doc, small_params,
+                              include, expected):
+        rep = reports.build_rep(positive_doc)
+        reports.run_report(rep, small_params, include=include)
+        assert counts == {"sample_isotropic_bank": expected, "ams_cover": expected}
+
+
 class TestCli:
     def test_catalog_listing(self, capsys):
         assert main(["catalog"]) == 0
@@ -191,6 +223,14 @@ class TestCli:
     def test_bad_parameters_exit_3(self):
         assert main(["spectrum", "--catalog", "linear_only", "--eps", "0.5"]) == 3
         assert main(["spectrum", "--catalog", "linear_only", "--ball", "0"]) == 3
+
+    def test_numerical_failure_exit_3(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise core.FrameError("rank-deficient frame")
+        monkeypatch.setattr(cli, "run_report", fail)
+        assert main(["spectrum", "--catalog", "linear_only"]) == 3
+        assert capsys.readouterr().err == \
+            "error: numerical failure: rank-deficient frame\n"
 
     def test_rep_and_catalog_conflict_exit_3(self, tmp_path):
         doc_path = tmp_path / "rep.json"
