@@ -19,7 +19,7 @@ from .core import (
     _readonly,
 )
 from .group import evaluate_word, word_ball
-from .margulis import spectrum
+from .margulis import SpectrumReport, spectrum
 from .proximal import (
     AmsCover,
     NotProximalError,
@@ -43,19 +43,18 @@ class LimitSample:
     gap: float
 
 
-def limit_map_samples(rep, ball_length, tol=None):
+def limit_map_samples(rep, ball_length):
     """Boundary-map samples over the word ball, plus the skipped words.
 
     Deterministic word order; words with non-proximal image are recorded in
     the second return value rather than raising.
     """
-    tol = rep.tol if tol is None else tol
     samples = []
     skipped = []
     for w in word_ball(rep.rank, ball_length):
         a = evaluate_word(rep, w).linear
         try:
-            split = spectral_split(rep.space, a, tol=tol)
+            split = spectral_split(rep.space, a, tol=rep.tol)
         except NotProximalError:
             skipped.append(w)
             continue
@@ -175,8 +174,8 @@ class Splitting:
 def splitting_at(space, vplus, vminus, tol=DEFAULT_TOL):
     """Frames (V+, L, V-) spanning the ambient space, L the b-positive line."""
     nu = neutral_vector(space, vplus, vminus, tol=tol)
-    qp = orthonormalize_oriented(vplus.columns if hasattr(vplus, "columns") else vplus)
-    qm = orthonormalize_oriented(vminus.columns if hasattr(vminus, "columns") else vminus)
+    qp = orthonormalize_oriented(vplus)
+    qm = orthonormalize_oriented(vminus)
     assembled = np.hstack([qp, nu[:, None], qm])
     sv = np.linalg.svd(assembled, compute_uv=False)
     if sv[-1] <= tol:
@@ -205,12 +204,19 @@ class Scorecard:
     min_gap: float
     max_slope_deviation: float
     max_residual: float
-    spectrum_verdict: object
-    skipped_words: tuple
+    spectrum: SpectrumReport
     cover: AmsCover
     thresholds: dict
     verdict: ScorecardVerdict
     disclaimer: str = SCORECARD_DISCLAIMER
+
+    @property
+    def spectrum_verdict(self):
+        return self.spectrum.verdict
+
+    @property
+    def skipped_words(self):
+        return self.spectrum.skipped
 
     @property
     def cover_failures(self):
@@ -232,17 +238,16 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
     elements the catalog pins down, and for longer non-normal products the
     restricted singular values carry a transient that decays only
     geometrically, which would drown the residual threshold without saying
-    anything about contraction itself.  _bank is handed to ams_cover.
+    anything about contraction itself.  The ball is split once, by the
+    spectrum; frames are sampled at generator level only.  _bank is handed to
+    ams_cover.
     """
-    samples_list, skipped = limit_map_samples(rep, ball_length)
-    generator_words = word_ball(rep.rank, 1)
-    nonprox_generators = [w for w in skipped if len(w) == 1]
-
-    min_gap = min((s.gap for s in samples_list), default=np.nan)
+    spec = spectrum(rep, ball_length, zero_tol=zero_tol, label=label)
+    gen_samples, nonprox_generators = limit_map_samples(rep, 1)
+    min_gap = min((e.gap for e in spec.entries), default=np.nan)
     # gate transversality at generator level: attracting points of distinct
     # deep words get arbitrarily close (the limit set is dense), so a fixed
     # threshold on ball-level pair margins would reject every genuine example
-    gen_samples = [s for s in samples_list if len(s.word) == 1]
     if len(gen_samples) >= 2:
         tmat = transversality_matrix(rep.space, gen_samples)
         min_margin = tmat.min_margin
@@ -251,16 +256,13 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
 
     slope_dev = 0.0
     residual = 0.0
-    proximal_words = {s.word for s in samples_list}
-    for w in generator_words:
-        if w in proximal_words:
-            trace = contraction_trace(rep.space, evaluate_word(rep, w).linear,
-                                      kmax=kmax, tol=rep.tol)
-            slope_dev = max(slope_dev, abs(trace.slope_plus - trace.gap),
-                            abs(trace.slope_minus + trace.gap))
-            residual = max(residual, trace.residual_plus, trace.residual_minus)
+    for s in gen_samples:
+        trace = contraction_trace(rep.space, evaluate_word(rep, s.word).linear,
+                                  kmax=kmax, tol=rep.tol)
+        slope_dev = max(slope_dev, abs(trace.slope_plus - trace.gap),
+                        abs(trace.slope_minus + trace.gap))
+        residual = max(residual, trace.residual_plus, trace.residual_minus)
 
-    spec = spectrum(rep, ball_length, zero_tol=zero_tol, label=label)
     cover = ams_cover(rep, r=r, eps=eps, ball_length=ball_length,
                       search_length=search_length, samples=samples, seed=seed,
                       tol=rep.tol, _bank=_bank)
@@ -293,8 +295,8 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
             if cover.failures:
                 soft.append("%d ball words without an (r,eps) corrector"
                             % len(cover.failures))
-            if skipped:
-                soft.append("%d non-proximal words skipped" % len(skipped))
+            if spec.skipped:
+                soft.append("%d non-proximal words skipped" % len(spec.skipped))
             if soft:
                 verdict = ScorecardVerdict("insufficient_evidence", tuple(soft))
             else:
@@ -307,6 +309,5 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
                      min_gap=float(min_gap),
                      max_slope_deviation=float(slope_dev),
                      max_residual=float(residual),
-                     spectrum_verdict=spec.verdict,
-                     skipped_words=tuple(skipped), cover=cover,
+                     spectrum=spec, cover=cover,
                      thresholds=thresholds, verdict=verdict)

@@ -281,7 +281,11 @@ def canonical_orientation(space, isotropic, positive=None, tol=DEFAULT_TOL):
         neg = b_orthogonal_complement(space, SubspaceFrame(pos)).columns
         _, cneg = split_coordinates(pos, neg, q)
         q = neg @ cneg
+    return _reference_orientation(space, q)
 
+
+def _reference_orientation(space, q):
+    """Sign of q expressed in the reference negative frame along the positive one."""
     ref_pos = default_positive_frame(space).columns
     ref_neg = default_negative_frame(space).columns
     _, coords = split_coordinates(ref_pos, ref_neg, q)
@@ -301,7 +305,9 @@ def isotropic_frame(space, columns, tol=DEFAULT_TOL):
     if not is_isotropic(space, frame.columns, tol=tol):
         defect = float(np.abs(space.gram(frame.columns)).max())
         raise FrameError("frame is not isotropic: max |B^T J B| = %.3e" % defect)
-    return IsotropicFrame(frame=frame, orientation=canonical_orientation(space, frame.columns, tol=tol))
+    # the check above implies canonical_orientation's looser isotropy test
+    orientation = _reference_orientation(space, orthonormalize_oriented(frame.columns))
+    return IsotropicFrame(frame=frame, orientation=orientation)
 
 
 def random_so_element(space, rng, scale=0.5):

@@ -4,7 +4,8 @@ An affine isometry is a pair (A, u) acting as x -> A x + u, with A in the
 identity component of the form-preserving determinant-one group.  Membership
 is verified at ingestion and is a hard error; word evaluation afterwards is
 plain floating composition with no re-orthogonalization, so conditioning
-issues surface in the reported form defects instead of being hidden.
+issues are not hidden: form_defect measures them for any element, though
+reports do not yet carry a per-word form defect.
 """
 
 from dataclasses import dataclass, field

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from properaffine import anosov, core, group, proximal, repcatalog
+from properaffine import anosov, core, group, margulis, proximal, repcatalog
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +196,17 @@ class TestScorecard:
         assert card.min_transversality_margin > 1e-6
         assert card.max_residual < 1e-6
         assert card.cover_failures == ()
+
+    def test_reads_the_ball_spectrum(self, schottky):
+        card = anosov.affine_anosov_scorecard(schottky, ball_length=3,
+                                              r=0.4, eps=0.19, samples=300,
+                                              seed=6)
+        spec = margulis.spectrum(schottky, 3)
+        assert card.spectrum.entries == spec.entries
+        assert card.skipped_words == spec.skipped
+        # the whole-ball boundary-map samples give the same minimum gap
+        samples, _ = anosov.limit_map_samples(schottky, 3)
+        assert card.min_gap == min(s.gap for s in samples)
 
     def test_mixed_catalog_inconsistent(self):
         rep = repcatalog.catalog_rep("mixed_sign_n1")

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -160,35 +161,53 @@ class TestRunReport:
 
 
 class TestSharedWork:
-    """Each report builds one sample bank and searches the cover once."""
+    """Each report builds one sample bank, one spectrum and one cover."""
 
     @pytest.fixture()
-    def counts(self, monkeypatch):
-        counts = {"sample_isotropic_bank": 0, "ams_cover": 0}
+    def calls(self, monkeypatch):
+        """Bound arguments of every call, wherever the function is imported."""
+        sources = {"sample_isotropic_bank": proximal, "ams_cover": proximal,
+                   "spectrum": margulis, "limit_map_samples": anosov}
+        calls = {name: [] for name in sources}
 
-        def counting(name, fn):
+        def recording(name, fn):
+            signature = inspect.signature(fn)
+
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                calls[name].append(signature.bind(*args, **kwargs).arguments)
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in counts:
-            wrapped = counting(name, getattr(proximal, name))
-            for module in (proximal, anosov, reports):
+        for name, source in sources.items():
+            wrapped = recording(name, getattr(source, name))
+            for module in (proximal, margulis, anosov, reports):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapped)
-        return counts
+        return calls
 
     @pytest.mark.parametrize("include, expected", [
         (reports.ALL_BLOCKS, 1),
         (("proximality",), 1),
         (("spectrum",), 0),
+        (("scorecard",), 1),
     ])
-    def test_calls_per_report(self, counts, positive_doc, small_params,
+    def test_calls_per_report(self, calls, positive_doc, small_params,
                               include, expected):
         rep = reports.build_rep(positive_doc)
-        reports.run_report(rep, small_params, include=include)
-        assert counts == {"sample_isotropic_bank": expected, "ams_cover": expected}
+        report = reports.run_report(rep, small_params, include=include)
+        counts = {name: len(args) for name, args in calls.items()}
+        # one spectrum per spectrum block: the scorecard computes it, and the
+        # block reads the scorecard's instead of computing its own
+        has_spectrum = report.spectrum is not None
+        has_scorecard = report.scorecard is not None
+        assert counts == {"sample_isotropic_bank": expected, "ams_cover": expected,
+                          "spectrum": int(has_spectrum),
+                          "limit_map_samples": int(has_scorecard)}
+        assert has_spectrum == (include != ("proximality",))
+        # the scorecard samples frames at generator level only
+        assert all(args["ball_length"] == 1 for args in calls["limit_map_samples"])
+        # the scorecard's spectrum is timed inside scorecard_s
+        assert ("spectrum_s" in report.timing) == (include == ("spectrum",))
 
 
 class TestCli:
