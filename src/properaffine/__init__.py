@@ -35,8 +35,10 @@ from .group import (
     ReducedWord,
     WordError,
     affine_isometry,
+    ball_elements,
     check_reductive_block_form,
     compose,
+    conjugacy_key,
     evaluate_word,
     form_defect,
     identity_isometry,

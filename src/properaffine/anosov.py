@@ -18,7 +18,7 @@ from .core import (
     orthonormalize_oriented,
     _readonly,
 )
-from .group import evaluate_word, word_ball
+from .group import ball_elements, evaluate_word
 from .margulis import SpectrumReport, spectrum
 from .proximal import (
     AmsCover,
@@ -51,10 +51,9 @@ def limit_map_samples(rep, ball_length):
     """
     samples = []
     skipped = []
-    for w in word_ball(rep.rank, ball_length):
-        a = evaluate_word(rep, w).linear
+    for w, g in ball_elements(rep, ball_length):
         try:
-            split = spectral_split(rep.space, a, tol=rep.tol)
+            split = spectral_split(rep.space, g.linear, tol=rep.tol)
         except NotProximalError:
             skipped.append(w)
             continue

@@ -297,8 +297,13 @@ def _reference_orientation(space, q):
 
 
 def isotropic_frame(space, columns, tol=DEFAULT_TOL):
-    """Validated maximal isotropic frame with its canonical orientation."""
-    frame = SubspaceFrame(as_columns(columns), tol=tol)
+    """Validated maximal isotropic frame with its canonical orientation.
+
+    tol bounds the isotropy defect only; the frame keeps the default rank
+    tolerance, so a caller that scales tol with a large norm does not make a
+    well-conditioned frame look rank deficient.
+    """
+    frame = SubspaceFrame(as_columns(columns))
     if frame.k != space.n:
         raise FrameError("maximal isotropic frames have %d columns, got %d"
                          % (space.n, frame.k))

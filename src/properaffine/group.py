@@ -6,6 +6,10 @@ is verified at ingestion and is a hard error; word evaluation afterwards is
 plain floating composition with no re-orthogonalization, so conditioning
 issues are not hidden: form_defect measures them for any element, though
 reports do not yet carry a per-word form defect.
+
+A whole word ball is evaluated by ball_elements, which walks the prefix tree
+of reduced words with one composition per word; evaluate_word forms the same
+products one word at a time.
 """
 
 from dataclasses import dataclass, field
@@ -235,26 +239,56 @@ def _alphabet(rank):
     return out
 
 
+def _prefix_walk(rank, max_len, root, extend):
+    """(letters, value) for each reduced word of length 1..max_len.
+
+    Level by level, each level extended in alphabet order a, a^-1, b, b^-1,
+    ...; a word's value is extend(value of its parent prefix, last letter),
+    the empty word's is root.  Only the previous level is kept, and the last
+    level not at all.
+    """
+    if rank < 1 or max_len < 1:
+        raise WordError("rank and max_len must be >= 1")
+    letters = _alphabet(rank)
+    level = [((), root)]
+    for depth in range(max_len):
+        nxt = []
+        keep = depth < max_len - 1
+        for w, value in level:
+            for l in letters:
+                if not w or l != -w[-1]:
+                    child = (w + (l,), extend(value, l))
+                    if keep:
+                        nxt.append(child)
+                    yield child
+        level = nxt
+
+
 def word_ball(rank, max_len):
     """All reduced words of length 1..max_len in deterministic order.
 
     Level by level, each level extended in alphabet order a, a^-1, b, b^-1,
     ...; the count is sum over m of 2k(2k-1)^(m-1).
     """
-    if rank < 1 or max_len < 1:
-        raise WordError("rank and max_len must be >= 1")
-    letters = _alphabet(rank)
-    level = [(l,) for l in letters]
-    out = [ReducedWord(w) for w in level]
-    for _ in range(max_len - 1):
-        nxt = []
-        for w in level:
-            for l in letters:
-                if l != -w[-1]:
-                    nxt.append(w + (l,))
-        out.extend(ReducedWord(w) for w in nxt)
-        level = nxt
-    return out
+    return [ReducedWord(w) for w, _ in
+            _prefix_walk(rank, max_len, None, lambda value, l: None)]
+
+
+def conjugacy_key(word):
+    """Key shared by the conjugacy classes of word and of its inverse.
+
+    Returns (key, inverted): key is the least rotation of the word's cyclic
+    core or of that core's inverse, and inverted says that it came from the
+    inverse.  No nontrivial element of a free group is conjugate to its
+    inverse, so inverted separates the two classes.
+    """
+    core = word.letters
+    while len(core) > 1 and core[0] == -core[-1]:
+        core = core[1:-1]
+    inv = tuple(-l for l in reversed(core))
+    fwd = min((core[i:] + core[:i] for i in range(len(core))), default=())
+    bwd = min((inv[i:] + inv[:i] for i in range(len(inv))), default=())
+    return (bwd, True) if bwd < fwd else (fwd, False)
 
 
 @dataclass(frozen=True)
@@ -296,6 +330,22 @@ def evaluate_word(rep, word):
     for letter in word.letters:
         out = compose(out, rep.letter_image(letter))
     return out
+
+
+def ball_elements(rep, max_len):
+    """(word, element) over word_ball(rep.rank, max_len), in the same order.
+
+    One compose per word: each element extends its parent prefix's element by
+    one letter image, starting from the identity, which is exactly the
+    product evaluate_word forms, so every element is bitwise equal to
+    evaluate_word(rep, word).  Only the previous level is kept.
+    """
+    def extend(g, letter):
+        return compose(g, rep.letter_image(letter))
+
+    for w, g in _prefix_walk(rep.rank, max_len, identity_isometry(rep.space),
+                             extend):
+        yield ReducedWord(w), g
 
 
 def check_reductive_block_form(space, a, tol=DEFAULT_TOL):

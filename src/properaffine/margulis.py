@@ -8,7 +8,10 @@ b), conjugation invariant, and additive along powers.
 The spectrum of a representation over a word ball implements the necessary
 direction of the opposite-sign test: a properly acting group must have all
 invariants of one strict sign, so a mixed or degenerate spectrum certifies
-non-properness, while a uniform spectrum is evidence only.
+non-properness, while a uniform spectrum is evidence only.  Since alpha is a
+class function with alpha(g^-1) = (-1)^(n+1) alpha(g), the spectrum splits
+one element per conjugacy class (up to inversion), its shortest member, and
+every conjugate and inverse in the ball carries that class's values.
 
 Length proxy: the flow-space translation length is defined only up to metric
 equivalence, so the artifact uses log of the top eigenvalue modulus, which
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL
-from .group import ReducedWord, evaluate_word, inverse, power, word_ball
+from .group import ReducedWord, ball_elements, conjugacy_key, inverse, power
 from .proximal import NotProximalError, proximal_moduli, spectral_split
 
 LENGTH_PROXY_NOTE = ("length_proxy is log of the top eigenvalue modulus of the "
@@ -109,23 +112,42 @@ def spectrum(rep, ball_length, zero_tol=None, label=""):
     Words whose linear part is not proximal are skipped and recorded; a mixed
     or degenerate verdict certifies that the action is not proper, a uniform
     verdict is necessary-condition evidence only.
+
+    The ball is evaluated in one prefix walk and split once per conjugacy
+    class, taken together with its inverse class: the first member in ball
+    order, which is cyclically reduced and so one of the shortest, is split,
+    and every later member carries its gap, length proxy and alpha,
+    the latter times (-1)^(n+1) when the member is conjugate to the inverse.
+    Each word's sign still uses its own zero threshold.
     """
+    parity = (-1.0) ** (rep.space.n + 1)
+    classes = {}
     entries = []
     skipped = []
-    for w in word_ball(rep.rank, ball_length):
-        g = evaluate_word(rep, w)
-        try:
-            split = spectral_split(rep.space, g.linear, tol=rep.tol)
-        except NotProximalError:
+    for w, g in ball_elements(rep, ball_length):
+        key, inverted = conjugacy_key(w)
+        # takes alpha(w) to the key's orientation and back
+        factor = parity if inverted else 1.0
+        if key not in classes:
+            try:
+                split = spectral_split(rep.space, g.linear, tol=rep.tol)
+            except NotProximalError:
+                classes[key] = None
+            else:
+                alpha = float(g.translation @ rep.space.form @ split.neutral)
+                classes[key] = (factor * alpha,
+                                float(np.log(split.eigenvalue_moduli[0])),
+                                split.gap)
+        if classes[key] is None:
             skipped.append(w)
             continue
-        alpha = float(g.translation @ rep.space.form @ split.neutral)
-        proxy = float(np.log(split.eigenvalue_moduli[0]))
+        alpha, proxy, gap = classes[key]
+        alpha = factor * alpha
         zt = default_zero_tol(g.translation) if zero_tol is None else zero_tol
         sign = "0" if abs(alpha) <= zt else ("+" if alpha > 0 else "-")
         entries.append(WordInvariant(word=w, alpha=alpha, length_proxy=proxy,
                                      normalized=alpha / proxy, sign=sign,
-                                     gap=split.gap))
+                                     gap=gap))
     return SpectrumReport(label=label, ball_length=int(ball_length),
                           entries=tuple(entries), verdict=_verdict(entries),
                           skipped=tuple(skipped))

@@ -34,7 +34,7 @@ from .core import (
     signature,
     _readonly,
 )
-from .group import evaluate_word, word_ball, EMPTY_WORD
+from .group import EMPTY_WORD, ball_elements, identity_isometry
 
 
 class NotProximalError(GeometryError):
@@ -379,19 +379,18 @@ def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
     if ball_length < 1 or search_length < 1:
         raise ParameterError("ball and search lengths must be >= 1")
     space = rep.space
-    candidates = [EMPTY_WORD] + word_ball(rep.rank, search_length)
-    candidate_lin = [evaluate_word(rep, s).linear for s in candidates]
+    candidates = [(EMPTY_WORD, identity_isometry(space))]
+    candidates += ball_elements(rep, search_length)
     bank = sample_isotropic_bank(space, seed, samples) if _bank is None else _bank
     assignment = {}
     failures = []
     used = []
-    for w in word_ball(rep.rank, ball_length):
-        gw = evaluate_word(rep, w).linear
+    for w, gw in ball_elements(rep, ball_length):
         hit = None
-        for s, s_lin in zip(candidates, candidate_lin):
+        for s, gs in candidates:
             try:
-                cert = is_r_eps_proximal(space, s_lin @ gw, r, eps, samples, seed,
-                                         tol=tol, _bank=bank)
+                cert = is_r_eps_proximal(space, gs.linear @ gw.linear, r, eps,
+                                         samples, seed, tol=tol, _bank=bank)
             except (NotProximalError, TransversalityError,
                     InsufficientSamplesError):
                 continue

@@ -133,6 +133,20 @@ class TestWords:
         assert a[1] == group.ReducedWord((-1,))
         assert a[4] == group.ReducedWord((1, 1))
 
+    def test_conjugacy_key(self):
+        key, inverted = group.conjugacy_key(group.ReducedWord((2,)))
+        # b a^-1 a^-1 b a a b^-1 is a conjugate of b
+        assert group.conjugacy_key(
+            group.ReducedWord((2, -1, -1, 2, 1, 1, -2))) == (key, inverted)
+        assert group.conjugacy_key(group.ReducedWord((-2,))) == (key, not inverted)
+        w = group.ReducedWord((1, 2, 2, -1, 2))
+        key, inverted = group.conjugacy_key(w)
+        for i in range(len(w)):
+            rotated = group.ReducedWord(w.letters[i:] + w.letters[:i])
+            assert group.conjugacy_key(rotated) == (key, inverted)
+            assert group.conjugacy_key(rotated.inverse()) == (key, not inverted)
+        assert group.conjugacy_key(group.ReducedWord((1, 2, 2, 1, 2)))[0] != key
+
     def test_reduce_letters(self):
         assert group.reduce_letters((1, 2, -2, -1, 1)).letters == (1,)
         assert group.reduce_letters(()).letters == ()
@@ -183,6 +197,14 @@ class TestEvaluateWord:
             defect = group.form_defect(space, g.linear)
             scale = 1.0 + np.linalg.norm(g.linear, 2) ** 2
             assert defect <= 10 * mild_rep.tol * scale
+
+    def test_ball_elements_equal_evaluated_words(self, mild_rep):
+        walk = list(group.ball_elements(mild_rep, 4))
+        assert [w for w, _ in walk] == group.word_ball(2, 4)
+        for w, g in walk:
+            ref = group.evaluate_word(mild_rep, w)
+            assert np.array_equal(g.linear, ref.linear)
+            assert np.array_equal(g.translation, ref.translation)
 
     def test_letter_outside_rank(self, mild_rep):
         with pytest.raises(group.WordError):

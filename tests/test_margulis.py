@@ -184,3 +184,47 @@ class TestSpectrum:
         rep = repcatalog.catalog_rep("linear_only")
         report = margulis.spectrum(rep, 1)
         assert "eigenvalue" in report.length_proxy_note
+
+
+def _core_rotations(word):
+    """All rotations of the cyclic core of word."""
+    letters = word.letters
+    while len(letters) > 1 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return frozenset(letters[i:] + letters[:i] for i in range(len(letters)))
+
+
+class TestClassValues:
+    @pytest.mark.parametrize("name", ["margulis_positive_n1", "block_n2"])
+    def test_entries_carry_their_class_values(self, name):
+        rep = repcatalog.catalog_rep(name)
+        report = margulis.spectrum(rep, 5)
+        parity = (-1.0) ** (rep.space.n + 1)
+        first = {}
+        for e in report.entries:
+            fwd = _core_rotations(e.word)
+            cls = fwd | _core_rotations(e.word.inverse())
+            if cls not in first:
+                # the first member is cyclically reduced and split as itself
+                assert e.word.letters in fwd
+                g = group.evaluate_word(rep, e.word)
+                assert e.alpha == margulis.margulis_invariant(rep.space, g,
+                                                              tol=rep.tol)
+                first[cls] = (e, fwd)
+                continue
+            ref, ref_fwd = first[cls]
+            factor = 1.0 if fwd == ref_fwd else parity
+            assert e.alpha == factor * ref.alpha
+            assert (e.gap, e.length_proxy) == (ref.gap, ref.length_proxy)
+        skipped = {_core_rotations(w) | _core_rotations(w.inverse())
+                   for w in report.skipped}
+        assert not skipped & first.keys()
+        # conjugacy classes up to inversion with a cyclic core of length <= 5
+        assert len(first) + len(skipped) == 51
+
+    def test_deep_conjugate_of_a_generator(self):
+        rep = repcatalog.catalog_rep("margulis_positive_n1")
+        word = group.ReducedWord((2, -1, -1, 2, 1, 1, -2))   # b a⁻¹ a⁻¹ b a a b⁻¹
+        entry = next(e for e in margulis.spectrum(rep, 7).entries if e.word == word)
+        assert entry.alpha == margulis.margulis_invariant(
+            rep.space, rep.generators[1], tol=rep.tol)

@@ -102,6 +102,18 @@ class TestSpectralSplit:
             gap_k = proximal.spectral_split(space1, ak).gap
             assert gap_k == pytest.approx(k * base, rel=1e-6)
 
+    def test_large_norm_power(self):
+        # ||a^8||_2 = 2^32: the isotropy tolerance scales with the norm, the
+        # frames' rank tolerance must not
+        rep = repcatalog.catalog_rep("margulis_positive_n1")
+        a = rep.generators[0].linear
+        split = proximal.spectral_split(rep.space, np.linalg.matrix_power(a, 8),
+                                        tol=rep.tol)
+        base = proximal.spectral_split(rep.space, a, tol=rep.tol)
+        assert split.gap == pytest.approx(8 * base.gap, rel=1e-12)
+        assert core.spans_equal(split.attracting, base.attracting)
+        assert core.spans_equal(split.repelling, base.repelling)
+
 
 class TestNeutralVector:
     def test_frozen_standard_pair(self, space1):

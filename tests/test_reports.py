@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 
@@ -209,6 +210,24 @@ class TestSharedWork:
         # the scorecard's spectrum is timed inside scorecard_s
         assert ("spectrum_s" in report.timing) == (include == ("spectrum",))
 
+    @pytest.mark.parametrize("ball, include, classes", [
+        (3, reports.ALL_BLOCKS, 12),
+        (5, ("spectrum",), 51),
+    ])
+    def test_one_split_per_class(self, monkeypatch, positive_doc, small_params,
+                                 ball, include, classes):
+        splits = []
+
+        def counting(*args, **kwargs):
+            splits.append(args)
+            return proximal.spectral_split(*args, **kwargs)
+        monkeypatch.setattr(margulis, "spectral_split", counting)
+        rep = reports.build_rep(positive_doc)
+        params = dataclasses.replace(small_params, ball_length=ball)
+        report = reports.run_report(rep, params, include=include)
+        assert len(report.spectrum["entries"]) == len(group.word_ball(2, ball))
+        assert len(splits) == classes
+
 
 class TestCli:
     def test_catalog_listing(self, capsys):
@@ -242,6 +261,15 @@ class TestCli:
     def test_bad_parameters_exit_3(self):
         assert main(["spectrum", "--catalog", "linear_only", "--eps", "0.5"]) == 3
         assert main(["spectrum", "--catalog", "linear_only", "--ball", "0"]) == 3
+
+    def test_spectrum_ball_8(self, tmp_path):
+        out = tmp_path / "spec8.json"
+        rc = main(["spectrum", "--catalog", "margulis_positive_n1", "--ball", "8",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["spectrum"]["verdict"] == "uniform_positive"
+        assert doc["spectrum"]["skipped"] == []
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
