@@ -284,16 +284,41 @@ def canonical_orientation(space, isotropic, positive=None, tol=DEFAULT_TOL):
     return _reference_orientation(space, q)
 
 
+@lru_cache(maxsize=None)
+def _reference_basis(n):
+    """[reference positive | reference negative] frame as one matrix."""
+    pos, neg = _default_frames(n)
+    return _readonly(np.hstack([pos.columns, neg.columns]))
+
+
 def _reference_orientation(space, q):
     """Sign of q expressed in the reference negative frame along the positive one."""
-    ref_pos = default_positive_frame(space).columns
-    ref_neg = default_negative_frame(space).columns
-    _, coords = split_coordinates(ref_pos, ref_neg, q)
+    # the reference basis is orthogonal, so it needs no singularity check
+    coords = np.linalg.solve(_reference_basis(space.n), q)[space.n + 1:]
     det = np.linalg.det(coords)
     if abs(det) < 1e-12:
         raise OrientationError("orientation determinant %.3e is numerically "
                                "indeterminate" % det)
     return 1 if det > 0 else -1
+
+
+def _checked_isotropic(space, columns, tol):
+    """SubspaceFrame of a maximal isotropic subspace, rank and isotropy checked."""
+    frame = SubspaceFrame(as_columns(columns))
+    if frame.k != space.n:
+        raise FrameError("maximal isotropic frames have %d columns, got %d"
+                         % (space.n, frame.k))
+    if not is_isotropic(space, frame.columns, tol=tol):
+        defect = float(np.abs(space.gram(frame.columns)).max())
+        raise FrameError("frame is not isotropic: max |B^T J B| = %.3e" % defect)
+    return frame
+
+
+def _oriented(space, frame):
+    """IsotropicFrame of a frame already checked by _checked_isotropic."""
+    # that check implies canonical_orientation's looser isotropy test
+    orientation = _reference_orientation(space, orthonormalize_oriented(frame.columns))
+    return IsotropicFrame(frame=frame, orientation=orientation)
 
 
 def isotropic_frame(space, columns, tol=DEFAULT_TOL):
@@ -303,16 +328,7 @@ def isotropic_frame(space, columns, tol=DEFAULT_TOL):
     tolerance, so a caller that scales tol with a large norm does not make a
     well-conditioned frame look rank deficient.
     """
-    frame = SubspaceFrame(as_columns(columns))
-    if frame.k != space.n:
-        raise FrameError("maximal isotropic frames have %d columns, got %d"
-                         % (space.n, frame.k))
-    if not is_isotropic(space, frame.columns, tol=tol):
-        defect = float(np.abs(space.gram(frame.columns)).max())
-        raise FrameError("frame is not isotropic: max |B^T J B| = %.3e" % defect)
-    # the check above implies canonical_orientation's looser isotropy test
-    orientation = _reference_orientation(space, orthonormalize_oriented(frame.columns))
-    return IsotropicFrame(frame=frame, orientation=orientation)
+    return _oriented(space, _checked_isotropic(space, columns, tol))
 
 
 def random_so_element(space, rng, scale=0.5):

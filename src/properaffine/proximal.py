@@ -16,6 +16,7 @@ seed and worst margin, and are evidence, not proof.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +26,7 @@ from .core import (
     FrameError,
     GeometryError,
     IsotropicFrame,
+    SubspaceFrame,
     as_columns,
     b_orthogonal_complement,
     isotropic_frame,
@@ -32,6 +34,8 @@ from .core import (
     orthonormalize_oriented,
     random_so_element,
     signature,
+    _checked_isotropic,
+    _oriented,
     _readonly,
 )
 from .group import EMPTY_WORD, ball_elements, identity_isometry
@@ -53,14 +57,8 @@ class ParameterError(ValueError):
     """Invalid parameter combination (eps >= r/2, nonpositive counts, ...)."""
 
 
-def proximal_moduli(space, a, tol=DEFAULT_TOL):
-    """Eigenvalue moduli sorted descending, after checking proximality.
-
-    Proximal means exactly n moduli above 1 and n below, separated from the
-    middle one by more than tol; ties trigger NotProximalError rather than an
-    arbitrary grouping.
-    """
-    a = np.asarray(a, dtype=float)
+def _checked_moduli(space, a, tol):
+    """(moduli, thresh) of proximal_moduli, with thresh = tol * (1 + ||A||_2)."""
     n = space.n
     moduli = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
     # eigenvalues of large-norm words carry O(eps * ||A||) error, so the
@@ -72,10 +70,18 @@ def proximal_moduli(space, a, tol=DEFAULT_TOL):
         raise NotProximalError(
             "need exactly %d moduli above and below 1, found %d above / %d below "
             "(moduli %s)" % (n, n_exp, n_con, np.array2string(moduli, precision=6)))
-    gap = float(np.log(moduli[n - 1]))
-    if gap <= thresh:
-        raise NotProximalError("spectral gap %.3e below tolerance" % gap)
-    return moduli
+    return moduli, thresh
+
+
+def proximal_moduli(space, a, tol=DEFAULT_TOL):
+    """Eigenvalue moduli sorted descending, after checking proximality.
+
+    Proximal means exactly n moduli above 1 + thresh and n below
+    1 / (1 + thresh), with thresh = tol * (1 + ||A||_2); ties trigger
+    NotProximalError rather than an arbitrary grouping.  The gap
+    log |lambda_n| therefore exceeds log1p(thresh).
+    """
+    return _checked_moduli(space, np.asarray(a, dtype=float), tol)[0]
 
 
 def _invariant_frame(a, select, n):
@@ -102,6 +108,31 @@ class SpectralSplit:
     eigenvalue_moduli: np.ndarray
 
 
+def _split_frames(space, a, tol):
+    """Proximality tests and the checked frames of V+ and V-, without orientation.
+
+    Returns (moduli, V+, V-): the moduli of proximal_moduli and SubspaceFrames
+    of the ordered Schur columns, each rank checked and isotropic within
+    tol * (1 + ||A||_2), and transverse through their J-pairing.
+    """
+    a = np.asarray(a, dtype=float)
+    n = space.n
+    moduli, thresh = _checked_moduli(space, a, tol)
+    hi = float(np.sqrt(moduli[n - 1] * moduli[n]))
+    lo = float(np.sqrt(moduli[n] * moduli[n + 1]))
+    zp = _invariant_frame(a, lambda m: m >= hi, n)
+    zm = _invariant_frame(a, lambda m: m <= lo, n)
+    # isotropy is exact in theory; the numerical defect scales with the
+    # conditioning of the eigenproblem, like the eigenvalues' error
+    vplus = _checked_isotropic(space, zp, thresh)
+    vminus = _checked_isotropic(space, zm, thresh)
+    pairing = np.linalg.svd(zp.T @ space.form @ zm, compute_uv=False)
+    if pairing[-1] <= tol:
+        raise TransversalityError("attracting/repelling pairing singular value "
+                                  "%.3e below tolerance" % pairing[-1])
+    return moduli, vplus, vminus
+
+
 def spectral_split(space, a, tol=DEFAULT_TOL):
     """Eigen-split a proximal element into V+ (dilated), V- (contracted), neutral.
 
@@ -110,22 +141,10 @@ def spectral_split(space, a, tol=DEFAULT_TOL):
     neutral vector is the b-unit vector on the remaining fixed line, signed by
     the orientation convention; gap = min log |lambda| over V+.
     """
-    a = np.asarray(a, dtype=float)
-    moduli = proximal_moduli(space, a, tol=tol)
+    moduli, fp, fm = _split_frames(space, a, tol)
     n = space.n
-    hi = float(np.sqrt(moduli[n - 1] * moduli[n]))
-    lo = float(np.sqrt(moduli[n] * moduli[n + 1]))
-    zp = _invariant_frame(a, lambda m: m >= hi, n)
-    zm = _invariant_frame(a, lambda m: m <= lo, n)
-    # isotropy is exact in theory; the numerical defect scales with the
-    # conditioning of the eigenproblem
-    iso_tol = tol * (1.0 + float(np.linalg.norm(a, 2)))
-    vplus = isotropic_frame(space, zp, tol=iso_tol)
-    vminus = isotropic_frame(space, zm, tol=iso_tol)
-    pairing = np.linalg.svd(zp.T @ space.form @ zm, compute_uv=False)
-    if pairing[-1] <= tol:
-        raise TransversalityError("attracting/repelling pairing singular value "
-                                  "%.3e below tolerance" % pairing[-1])
+    vplus = _oriented(space, fp)
+    vminus = _oriented(space, fm)
     neutral = neutral_vector(space, vplus, vminus)
     return SpectralSplit(attracting=vplus, repelling=vminus,
                          neutral=_readonly(neutral),
@@ -277,14 +296,33 @@ def _largest_angles(qa, qb):
     return angles.max(axis=-1)
 
 
+class _SampleBank:
+    """A sample bank and its re-orthonormalized stack, built on first use.
+
+    Certificates that share one bank object share that stack too: for n >= 2
+    it is computed once per bank, not once per certificate.
+    """
+
+    def __init__(self, frames):
+        self.frames = frames
+
+    @cached_property
+    def orthonormal(self):
+        return _orthonormalize_stack(self.frames)
+
+
 @dataclass(frozen=True)
 class ProximalityCertificate:
-    """Monte-Carlo (r, eps)-proximality evidence for one element."""
+    """Monte-Carlo (r, eps)-proximality evidence for one element.
+
+    attracting and repelling are the checked frames of V+ and V-, without
+    orientation: (r, eps)-proximality involves only the two points.
+    """
 
     r: float
     eps: float
-    attracting: IsotropicFrame
-    repelling: IsotropicFrame
+    attracting: SubspaceFrame
+    repelling: SubspaceFrame
     separation: float
     margin_attract: float
     samples: int
@@ -300,17 +338,22 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
     Checks separation(x+, nt(x-)) >= r, then verifies that every sampled
     isotropic frame outside the eps-neighborhood of nt(x-) is mapped into the
     eps-ball around x+ (largest principal angle).  margin_attract is the worst
-    value of eps - d(g x, x+) over admissible samples.
+    value of eps - d(g x, x+) over admissible samples.  Only V+ and V- are
+    computed, with the checks of spectral_split; no orientation and no
+    neutral vector.  _bank, if given, must be
+    _SampleBank(sample_isotropic_bank(space, seed, samples)).
     """
     if r <= 0 or eps <= 0 or eps >= r / 2.0:
         raise ParameterError("need 0 < eps < r/2 (got r=%g, eps=%g)" % (r, eps))
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    split = spectral_split(space, g, tol=tol)
-    xp = orthonormalize_oriented(split.attracting.columns)
-    xm = orthonormalize_oriented(split.repelling.columns)
+    _, vplus, vminus = _split_frames(space, g, tol)
+    xp = orthonormalize_oriented(vplus.columns)
+    xm = orthonormalize_oriented(vminus.columns)
     separation = nontransverse_distance(space, xp, xm)
-    bank = sample_isotropic_bank(space, seed, samples) if _bank is None else _bank
+    if _bank is None:
+        _bank = _SampleBank(sample_isotropic_bank(space, seed, samples))
+    bank = _bank.frames
     g = np.asarray(g, dtype=float)
 
     if space.n == 1:
@@ -331,7 +374,7 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
         # both re-orthonormalize their inputs, and repeating those QRs here
         # keeps every value bitwise equal to the per-sample definitions
         qm = orthonormalize_oriented(xm)
-        qx = _orthonormalize_stack(bank)
+        qx = _bank.orthonormal
         pairing = np.linalg.svd(np.swapaxes(qx, -1, -2) @ space.form @ qm,
                                 compute_uv=False)
         keep = pairing[:, -1] >= eps
@@ -345,8 +388,7 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
 
     passed = separation >= r and margin > 0.0
     return ProximalityCertificate(r=float(r), eps=float(eps),
-                                  attracting=split.attracting,
-                                  repelling=split.repelling,
+                                  attracting=vplus, repelling=vminus,
                                   separation=separation,
                                   margin_attract=margin,
                                   samples=int(samples), admissible=admissible,
@@ -374,14 +416,15 @@ def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
     deterministic order (empty word first, then the search ball); the first s
     whose product passes the certificate wins.  Words with no corrector are
     reported as failures, not errors.  _bank, if given, must be
-    sample_isotropic_bank(rep.space, seed, samples).
+    _SampleBank(sample_isotropic_bank(rep.space, seed, samples)).
     """
     if ball_length < 1 or search_length < 1:
         raise ParameterError("ball and search lengths must be >= 1")
     space = rep.space
     candidates = [(EMPTY_WORD, identity_isometry(space))]
     candidates += ball_elements(rep, search_length)
-    bank = sample_isotropic_bank(space, seed, samples) if _bank is None else _bank
+    if _bank is None:
+        _bank = _SampleBank(sample_isotropic_bank(space, seed, samples))
     assignment = {}
     failures = []
     used = []
@@ -390,7 +433,7 @@ def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
         for s, gs in candidates:
             try:
                 cert = is_r_eps_proximal(space, gs.linear @ gw.linear, r, eps,
-                                         samples, seed, tol=tol, _bank=bank)
+                                         samples, seed, tol=tol, _bank=_bank)
             except (NotProximalError, TransversalityError,
                     InsufficientSamplesError):
                 continue

@@ -114,6 +114,18 @@ class TestSpectralSplit:
         assert core.spans_equal(split.attracting, base.attracting)
         assert core.spans_equal(split.repelling, base.repelling)
 
+    def test_gap_is_not_compared_with_the_norm_threshold(self):
+        # a^9: gap 24.95 is far below tol*(1+||A||) = 68.7, a threshold on the
+        # linear scale of the moduli; the count test alone decides proximality
+        rep = repcatalog.catalog_rep("margulis_positive_n1")
+        a9 = np.linalg.matrix_power(rep.generators[0].linear, 9)
+        split = proximal.spectral_split(rep.space, a9, tol=rep.tol)
+        assert split.gap == float(np.log(split.eigenvalue_moduli[0]))
+        assert split.gap < rep.tol * (1.0 + np.linalg.norm(a9, 2))
+        base = proximal.spectral_split(rep.space, rep.generators[0].linear,
+                                       tol=rep.tol)
+        assert split.gap == pytest.approx(9 * base.gap, rel=1e-12)
+
 
 class TestNeutralVector:
     def test_frozen_standard_pair(self, space1):
@@ -314,7 +326,7 @@ def reference_certificate(space, g, eps, bank, xm, xp):
 
 
 class TestBatchedCertificate:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_per_sample_loop(self, n, seed):
         space = core.standard_form(n)
@@ -330,9 +342,21 @@ class TestBatchedCertificate:
             cert = proximal.is_r_eps_proximal(space, g, r, eps, 300, seed)
             admissible, margin = reference_certificate(space, g, eps, bank, xm, xp)
             assert cert.admissible == admissible
-            assert cert.margin_attract == margin
+            if n == 1:
+                # the n = 1 branch takes arccos of cosines and maps all
+                # admissible samples in one matrix product, whose BLAS kernel
+                # rounds differently from one product per sample: the
+                # margin agrees to a few ulps, not bitwise
+                assert cert.margin_attract == pytest.approx(margin, rel=0, abs=1e-15)
+            else:
+                assert cert.margin_attract == margin
             assert cert.separation == proximal.nontransverse_distance(space, xp, xm)
             assert cert.passed == (cert.separation >= r and margin > 0.0)
+            # V+ and V- without orientation: the split's Schur columns, bitwise
+            for got, want in ((cert.attracting, split.attracting),
+                              (cert.repelling, split.repelling)):
+                assert isinstance(got, core.SubspaceFrame)
+                assert np.array_equal(got.columns, want.columns)
 
     def test_insufficient_samples_n2(self, space2):
         g = np.diag([3.0, 2.0, 1.0, 1 / 3.0, 0.5])

@@ -228,6 +228,72 @@ class TestSharedWork:
         assert len(report.spectrum["entries"]) == len(group.word_ball(2, ball))
         assert len(splits) == classes
 
+    def test_certificates_split_without_neutral_vector(self, monkeypatch,
+                                                       positive_doc, small_params):
+        # every report split computes one neutral vector; certificates need
+        # V+ and V- only, so they call neither
+        depth = [0]
+        calls = {"spectral_split": [], "neutral_vector": [], "certificates": 0}
+
+        def certifying(fn):
+            def wrapper(*args, **kwargs):
+                calls["certificates"] += 1
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(depth[0])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrapped = {"is_r_eps_proximal": certifying(proximal.is_r_eps_proximal)}
+        for name in ("spectral_split", "neutral_vector"):
+            wrapped[name] = recording(name, getattr(proximal, name))
+        for name, fn in wrapped.items():
+            for module in (proximal, margulis, anosov, reports):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
+        rep = reports.build_rep(positive_doc)
+        reports.run_report(rep, small_params)
+        assert calls["certificates"] > 0
+        assert len(calls["spectral_split"]) > 0
+        assert len(calls["neutral_vector"]) == len(calls["spectral_split"])
+        assert set(calls["spectral_split"]) == set(calls["neutral_vector"]) == {0}
+
+    @pytest.mark.parametrize("name, expected", [
+        ("block_n2", 1),
+        ("margulis_positive_n1", 0),
+    ])
+    def test_bank_reorthonormalized_once(self, monkeypatch, small_params,
+                                         name, expected):
+        # for n >= 2 the certificates share one re-orthonormalized bank
+        banks = []
+        stacked = []
+        make_bank = proximal.sample_isotropic_bank
+        orthonormalize_stack = proximal._orthonormalize_stack
+
+        def sampling(*args, **kwargs):
+            banks.append(make_bank(*args, **kwargs))
+            return banks[-1]
+
+        def orthonormalizing(frames):
+            stacked.append(frames)
+            return orthonormalize_stack(frames)
+
+        monkeypatch.setattr(proximal, "sample_isotropic_bank", sampling)
+        monkeypatch.setattr(reports, "sample_isotropic_bank", sampling)
+        monkeypatch.setattr(proximal, "_orthonormalize_stack", orthonormalizing)
+        rep = reports.build_rep(repcatalog.catalog(name))
+        params = dataclasses.replace(small_params, ball_length=1)
+        reports.run_report(rep, params)
+        assert len(banks) == 1
+        assert sum(frames is banks[0] for frames in stacked) == expected
+
 
 class TestCli:
     def test_catalog_listing(self, capsys):
@@ -270,6 +336,18 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["spectrum"]["verdict"] == "uniform_positive"
         assert doc["spectrum"]["skipped"] == []
+
+    def test_spectrum_ball_9(self, tmp_path):
+        # deep cyclically reduced words such as a^9 are proximal although
+        # their log gap is below tol*(1+||A||)
+        out = tmp_path / "spec9.json"
+        rc = main(["spectrum", "--catalog", "margulis_positive_n1", "--ball", "9",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["spectrum"]["verdict"] == "uniform_positive"
+        assert doc["spectrum"]["skipped"] == []
+        assert len(doc["spectrum"]["entries"]) == len(group.word_ball(2, 9))
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
