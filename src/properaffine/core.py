@@ -314,6 +314,29 @@ def _checked_isotropic(space, columns, tol):
     return frame
 
 
+def _checked_orthonormal_isotropic(space, columns, tol):
+    """The verdict of _checked_isotropic on a nearly orthonormal Z, mostly without SVDs.
+
+    delta = k max|Z^T Z - I| + 1e-12 (a rounding allowance) bounds every
+    |sigma(Z)^2 - 1|: delta < 0.5 passes the rank test, and a defect outside
+    tol * (1 +- delta) decides max|Z^T J Z| <= tol * sigma_max^2.  Otherwise
+    _checked_isotropic runs.
+    """
+    z = as_columns(columns)
+    k = z.shape[1]
+    delta = k * float(np.abs(z.T @ z - np.eye(k)).max()) + 1e-12
+    if delta < 0.5 and k == space.n:
+        defect = float(np.abs(space.gram(z)).max())
+        if defect <= tol * (1.0 - delta):
+            frame = object.__new__(SubspaceFrame)
+            object.__setattr__(frame, "columns", _readonly(z))
+            object.__setattr__(frame, "tol", DEFAULT_TOL)
+            return frame
+        if defect > tol * (1.0 + delta):
+            raise FrameError("frame is not isotropic: max |B^T J B| = %.3e" % defect)
+    return _checked_isotropic(space, z, tol)
+
+
 def _oriented(space, frame):
     """IsotropicFrame of a frame already checked by _checked_isotropic."""
     # that check implies canonical_orientation's looser isotropy test
@@ -331,16 +354,16 @@ def isotropic_frame(space, columns, tol=DEFAULT_TOL):
     return _oriented(space, _checked_isotropic(space, columns, tol))
 
 
-def random_so_element(space, rng, scale=0.5):
-    """Element of the identity component, exp of a random Lie-algebra element.
-
-    X = M - J M^T J solves X^T J + J X = 0 for any M; the exponential lands in
-    the identity component.
-    """
+def _random_lie_element(space, rng, scale=0.5):
+    """X = M - J M^T J for a normal M; X solves X^T J + J X = 0 for any M."""
     rng = np.random.default_rng(rng)
     m = rng.normal(0.0, scale, size=(space.dim, space.dim))
-    x = m - space.form @ m.T @ space.form
-    return scipy.linalg.expm(x)
+    return m - space.form @ m.T @ space.form
+
+
+def random_so_element(space, rng, scale=0.5):
+    """Element of the identity component, exp of a random Lie-algebra element."""
+    return scipy.linalg.expm(_random_lie_element(space, rng, scale))
 
 
 def random_positive_definite_subspace(space, seed):

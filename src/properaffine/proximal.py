@@ -16,7 +16,6 @@ seed and worst margin, and are evidence, not proof.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -32,10 +31,10 @@ from .core import (
     isotropic_frame,
     largest_principal_angle,
     orthonormalize_oriented,
-    random_so_element,
     signature,
-    _checked_isotropic,
+    _checked_orthonormal_isotropic,
     _oriented,
+    _random_lie_element,
     _readonly,
 )
 from .group import EMPTY_WORD, ball_elements, identity_isometry
@@ -111,9 +110,12 @@ class SpectralSplit:
 def _split_frames(space, a, tol):
     """Proximality tests and the checked frames of V+ and V-, without orientation.
 
-    Returns (moduli, V+, V-): the moduli of proximal_moduli and SubspaceFrames
-    of the ordered Schur columns, each rank checked and isotropic within
-    tol * (1 + ||A||_2), and transverse through their J-pairing.
+    Returns (moduli, V+, V-, separation): the moduli of proximal_moduli,
+    SubspaceFrames of the ordered Schur columns, and the smallest singular
+    value of their J-pairing, which the transversality test compares with
+    tol.  The Schur columns are orthonormal and kept as they are; their rank
+    and isotropy (within tol * (1 + ||A||_2)) are decided from Z^T Z without
+    an SVD, with the verdicts of _checked_isotropic.
     """
     a = np.asarray(a, dtype=float)
     n = space.n
@@ -124,13 +126,13 @@ def _split_frames(space, a, tol):
     zm = _invariant_frame(a, lambda m: m <= lo, n)
     # isotropy is exact in theory; the numerical defect scales with the
     # conditioning of the eigenproblem, like the eigenvalues' error
-    vplus = _checked_isotropic(space, zp, thresh)
-    vminus = _checked_isotropic(space, zm, thresh)
-    pairing = np.linalg.svd(zp.T @ space.form @ zm, compute_uv=False)
-    if pairing[-1] <= tol:
+    vplus = _checked_orthonormal_isotropic(space, zp, thresh)
+    vminus = _checked_orthonormal_isotropic(space, zm, thresh)
+    separation = float(np.linalg.svd(zp.T @ space.form @ zm, compute_uv=False)[-1])
+    if separation <= tol:
         raise TransversalityError("attracting/repelling pairing singular value "
-                                  "%.3e below tolerance" % pairing[-1])
-    return moduli, vplus, vminus
+                                  "%.3e below tolerance" % separation)
+    return moduli, vplus, vminus, separation
 
 
 def spectral_split(space, a, tol=DEFAULT_TOL):
@@ -141,7 +143,7 @@ def spectral_split(space, a, tol=DEFAULT_TOL):
     neutral vector is the b-unit vector on the remaining fixed line, signed by
     the orientation convention; gap = min log |lambda| over V+.
     """
-    moduli, fp, fm = _split_frames(space, a, tol)
+    moduli, fp, fm, _ = _split_frames(space, a, tol)
     n = space.n
     vplus = _oriented(space, fp)
     vminus = _oriented(space, fm)
@@ -269,17 +271,17 @@ def _orthonormalize_stack(frames):
 
 
 def sample_isotropic_bank(space, seed, samples):
-    """Deterministic bank of isotropic frames as a (samples, dim, n) array.
+    """Deterministic bank of orthonormal isotropic frames, a (samples, dim, n) array.
 
-    Sample i is orthonormalize_oriented of the first n columns of a random
-    group element seeded by (seed, i), so it depends on (seed, i) only and a
-    smaller bank is a prefix of a larger one.
+    Sample i is orthonormalize_oriented of the first n columns of
+    random_so_element(space, default_rng((seed, i))), from one stacked expm,
+    so it depends on (seed, i) only and a smaller bank is a prefix of a
+    larger one.  Certificates use the frames as they are.
     """
-    columns = np.empty((int(samples), space.dim, space.n))
+    x = np.empty((int(samples), space.dim, space.dim))
     for i in range(int(samples)):
-        g = random_so_element(space, np.random.default_rng((int(seed), i)))
-        columns[i] = g[:, : space.n]
-    return _orthonormalize_stack(columns)
+        x[i] = _random_lie_element(space, (int(seed), i))
+    return _orthonormalize_stack(scipy.linalg.expm(x)[:, :, : space.n])
 
 
 def _largest_angles(qa, qb):
@@ -294,21 +296,6 @@ def _largest_angles(qa, qb):
     sinv = np.clip(np.sort(sinv, axis=-1), 0.0, 1.0)
     angles = np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv))
     return angles.max(axis=-1)
-
-
-class _SampleBank:
-    """A sample bank and its re-orthonormalized stack, built on first use.
-
-    Certificates that share one bank object share that stack too: for n >= 2
-    it is computed once per bank, not once per certificate.
-    """
-
-    def __init__(self, frames):
-        self.frames = frames
-
-    @cached_property
-    def orthonormal(self):
-        return _orthonormalize_stack(self.frames)
 
 
 @dataclass(frozen=True)
@@ -340,20 +327,18 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
     eps-ball around x+ (largest principal angle).  margin_attract is the worst
     value of eps - d(g x, x+) over admissible samples.  Only V+ and V- are
     computed, with the checks of spectral_split; no orientation and no
-    neutral vector.  _bank, if given, must be
-    _SampleBank(sample_isotropic_bank(space, seed, samples)).
+    neutral vector.  x+ and x- are the split's orthonormal Schur frames, used
+    as they are, and the separation is the split's transversality value, the
+    smallest singular value of their J-pairing.  _bank, if given, must be
+    sample_isotropic_bank(space, seed, samples).
     """
     if r <= 0 or eps <= 0 or eps >= r / 2.0:
         raise ParameterError("need 0 < eps < r/2 (got r=%g, eps=%g)" % (r, eps))
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    _, vplus, vminus = _split_frames(space, g, tol)
-    xp = orthonormalize_oriented(vplus.columns)
-    xm = orthonormalize_oriented(vminus.columns)
-    separation = nontransverse_distance(space, xp, xm)
-    if _bank is None:
-        _bank = _SampleBank(sample_isotropic_bank(space, seed, samples))
-    bank = _bank.frames
+    _, vplus, vminus, separation = _split_frames(space, g, tol)
+    xp, xm = vplus.columns, vminus.columns
+    bank = sample_isotropic_bank(space, seed, samples) if _bank is None else _bank
     g = np.asarray(g, dtype=float)
 
     if space.n == 1:
@@ -370,20 +355,14 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
         dists = np.arccos(cosines)
         margin = float(np.min(eps - dists))
     else:
-        # nontransverse_distance and grassmann_distance over the whole bank;
-        # both re-orthonormalize their inputs, and repeating those QRs here
-        # keeps every value bitwise equal to the per-sample definitions
-        qm = orthonormalize_oriented(xm)
-        qx = _bank.orthonormal
-        pairing = np.linalg.svd(np.swapaxes(qx, -1, -2) @ space.form @ qm,
+        pairing = np.linalg.svd(np.swapaxes(bank, -1, -2) @ space.form @ xm,
                                 compute_uv=False)
         keep = pairing[:, -1] >= eps
         admissible = int(np.count_nonzero(keep))
         if admissible == 0:
             raise InsufficientSamplesError("no samples outside the eps-neighborhood "
                                            "of nt(x-)")
-        img = _orthonormalize_stack(_orthonormalize_stack(g @ bank[keep]))
-        dists = _largest_angles(img, orthonormalize_oriented(xp))
+        dists = _largest_angles(_orthonormalize_stack(g @ bank[keep]), xp)
         margin = float(np.min(eps - dists))
 
     passed = separation >= r and margin > 0.0
@@ -416,7 +395,7 @@ def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
     deterministic order (empty word first, then the search ball); the first s
     whose product passes the certificate wins.  Words with no corrector are
     reported as failures, not errors.  _bank, if given, must be
-    _SampleBank(sample_isotropic_bank(rep.space, seed, samples)).
+    sample_isotropic_bank(rep.space, seed, samples).
     """
     if ball_length < 1 or search_length < 1:
         raise ParameterError("ball and search lengths must be >= 1")
@@ -424,7 +403,7 @@ def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
     candidates = [(EMPTY_WORD, identity_isometry(space))]
     candidates += ball_elements(rep, search_length)
     if _bank is None:
-        _bank = _SampleBank(sample_isotropic_bank(space, seed, samples))
+        _bank = sample_isotropic_bank(space, seed, samples)
     assignment = {}
     failures = []
     used = []

@@ -24,7 +24,6 @@ from .proximal import (
     ams_cover,
     is_r_eps_proximal,
     sample_isotropic_bank,
-    _SampleBank,
 )
 
 SCHEMA_VERSION = "1"
@@ -231,9 +230,8 @@ ALL_BLOCKS = ("spectrum", "scorecard", "proximality")
 def run_report(rep, params=None, label="", include=ALL_BLOCKS):
     """Pipeline over the requested blocks; scorecard implies spectrum.
 
-    The sample bank is built once and shared by every certificate, with its
-    re-orthonormalized stack, and the cover is searched once: the
-    proximality block reuses the scorecard's.
+    The sample bank is built once and shared by every certificate, and the
+    cover is searched once: the proximality block reuses the scorecard's.
     The spectrum is computed once too: with the scorecard block it is the
     scorecard's own, and its time counts in scorecard_s.
     """
@@ -245,8 +243,7 @@ def run_report(rep, params=None, label="", include=ALL_BLOCKS):
     card = bank = None
     if "scorecard" in include or "proximality" in include:
         t0 = time.perf_counter()
-        bank = _SampleBank(sample_isotropic_bank(rep.space, params.seed,
-                                                 params.samples))
+        bank = sample_isotropic_bank(rep.space, params.seed, params.samples)
         timing["sample_bank_s"] = time.perf_counter() - t0
 
     if "scorecard" in include:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from properaffine import core
+
+# the shortcut's unconditional check, kept before any test patches it
+CHECKED_ISOTROPIC = core._checked_isotropic
 
 
 def expected_form(n):
@@ -215,3 +219,103 @@ class TestFrames:
         frame = core.random_isotropic_frame(space, 0)
         with pytest.raises(ValueError):
             frame.columns[0, 0] = 5.0
+
+
+def frame_verdict(check, space, z, tol):
+    """What a frame check returns or raises, comparable with ==."""
+    try:
+        frame = check(space, z, tol)
+    except core.FrameError as exc:
+        return "FrameError: %s" % exc
+    return (type(frame), frame.columns.shape, frame.columns.tobytes(), frame.tol,
+            frame.columns.flags.writeable)
+
+
+class TestOrthonormalIsotropicCheck:
+    """_checked_orthonormal_isotropic has exactly _checked_isotropic's verdicts."""
+
+    @pytest.fixture()
+    def fallbacks(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return CHECKED_ISOTROPIC(*args)
+        monkeypatch.setattr(core, "_checked_isotropic", counting)
+        return calls
+
+    def same_verdict(self, space, z, tol):
+        got = frame_verdict(core._checked_orthonormal_isotropic, space, z, tol)
+        assert got == frame_verdict(CHECKED_ISOTROPIC, space, z, tol)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_schur_frames(self, fallbacks, n):
+        space = core.standard_form(n)
+        passed = set()
+        for seed in range(30):
+            # a random proximal group element: a conjugated boost
+            rng = np.random.default_rng(seed)
+            t = np.sort(rng.uniform(0.2, 3.0, n))[::-1]
+            d = np.diag(np.concatenate([np.exp(t), [1.0], np.exp(-t[::-1])]))
+            h = core.random_so_element(space, rng, scale=1.0)
+            g = h @ d @ np.linalg.inv(h)
+            thresh = 1e-9 * (1.0 + np.linalg.norm(g, 2))
+            # split the moduli between the n-th and (n+1)-th, and between the
+            # (n+1)-th and (n+2)-th, as the spectral split does
+            moduli = np.sort(np.abs(np.linalg.eigvals(g)))[::-1]
+            hi = np.sqrt(moduli[n - 1] * moduli[n])
+            lo = np.sqrt(moduli[n] * moduli[n + 1])
+            for select in (lambda m: m >= hi, lambda m: m <= lo):
+                def sort(re, im, select=select):
+                    return select(np.hypot(re, im))
+                z = scipy.linalg.schur(g, output="real", sort=sort)[1][:, :n]
+                for tol in (thresh, 1e-17):
+                    verdict = self.same_verdict(space, z, tol)
+                    passed.add(isinstance(verdict, tuple))
+        assert passed == {True, False}
+        # Schur columns are orthonormal: no frame needed the SVD checks
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_far_from_orthonormal_falls_back(self, fallbacks, n):
+        space = core.standard_form(n)
+        g = core.random_so_element(space, 7)
+        q = core.orthonormalize_oriented(g[:, :n])
+        shear = np.eye(n)
+        shear[0, -1] += 2.0
+        frames = [2.0 * q, 0.5 * q, q @ shear, 0.0 * q]
+        if n > 1:
+            frames.append(np.hstack([q[:, :-1], q[:, :1]]))    # rank deficient
+        verdicts = []
+        for z in frames:
+            z = np.ascontiguousarray(z)
+            assert n * np.abs(z.T @ z - np.eye(n)).max() >= 0.5
+            for tol in (1e-9, 1e-17):
+                verdicts.append(self.same_verdict(space, z, tol))
+        assert len(fallbacks) == len(verdicts)
+        assert any(isinstance(v, tuple) for v in verdicts)
+        assert any("rank-deficient" in v for v in verdicts if isinstance(v, str))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_isotropy_band(self, fallbacks, n):
+        # delta near 0.1 and an isotropy defect near 1e-3: the band
+        # [tol (1 - delta), tol (1 + delta)] is wide enough to aim into
+        space = core.standard_form(n)
+        rng = np.random.default_rng(n)
+        q = core.orthonormalize_oriented(core.random_so_element(space, rng)[:, :n])
+        z = 1.05 * q + 1e-3 * rng.normal(size=q.shape)
+        delta = n * np.abs(z.T @ z - np.eye(n)).max()
+        defect = np.abs(space.gram(z)).max()
+        assert 0.05 < delta < 0.5
+        inside = (defect / (1.0 + 0.9 * delta), defect, defect / (1.0 - 0.9 * delta))
+        for i, tol in enumerate(inside):
+            self.same_verdict(space, z, tol)
+            assert len(fallbacks) == i + 1
+        # just below the band the defect alone fails the frame, just above it
+        # passes it; neither side runs the SVD checks
+        below = self.same_verdict(space, z, 0.99 * defect / (1.0 + delta))
+        above = self.same_verdict(space, z, 1.01 * defect / (1.0 - delta))
+        assert len(fallbacks) == len(inside)
+        assert below.startswith("FrameError: frame is not isotropic")
+        assert isinstance(above, tuple)

@@ -1,5 +1,10 @@
+import collections
+import inspect
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from properaffine import core, group, proximal, repcatalog
 
@@ -312,51 +317,99 @@ class TestCertificates:
         assert cert.admissible > 0
 
 
-def reference_certificate(space, g, eps, bank, xm, xp):
-    """Per-sample (admissible, margin) loop, as the certificate defines them."""
+def reference_certificate(space, g, eps, bank, zm, zp):
+    """Per-sample (admissible, margin) loop, as the certificate defines them.
+
+    zp and zm are the split's orthonormal Schur frames and the bank frames
+    are orthonormal, so none of them is re-orthonormalized: a frame is
+    admissible when its J-pairing with zm has smallest singular value >= eps,
+    and its distance is the largest hybrid principal angle between
+    orthonormalize_oriented(g @ frame) and zp.
+    """
     admissible = 0
     margin = np.inf
     for frame in bank:
-        if proximal.nontransverse_distance(space, frame, xm) < eps:
+        pairing = np.linalg.svd(frame.T @ space.form @ zm, compute_uv=False)
+        if pairing[-1] < eps:
             continue
         admissible += 1
-        d = proximal.grassmann_distance(core.orthonormalize_oriented(g @ frame), xp)
+        q = core.orthonormalize_oriented(g @ frame)
+        if space.n == 1:
+            # the n = 1 branch's own formula: arccos of |cos|
+            d = np.arccos(np.clip(abs(float(zp[:, 0] @ q[:, 0])), 0.0, 1.0))
+        else:
+            c = q.T @ zp
+            cosv = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, 1.0)
+            sinv = np.linalg.svd(zp - q @ c, compute_uv=False)
+            sinv = np.clip(np.sort(sinv), 0.0, 1.0)
+            d = np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv)).max()
         margin = min(margin, eps - d)
     return admissible, float(margin)
+
+
+def conjugated_boost(n, seed):
+    """(space, h diag(3^n, ..., 3, 1, 1/3, ..., 3^-n) h^-1), h random in SO0."""
+    space = core.standard_form(n)
+    moduli = [3.0 ** (n - i) for i in range(n)]
+    d = np.diag(moduli + [1.0] + [1.0 / m for m in reversed(moduli)])
+    h = core.random_so_element(space, np.random.default_rng(40 + seed))
+    return space, h @ d @ np.linalg.inv(h)
 
 
 class TestBatchedCertificate:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_per_sample_loop(self, n, seed):
-        space = core.standard_form(n)
-        moduli = [3.0 ** (n - i) for i in range(n)]
-        d = np.diag(moduli + [1.0] + [1.0 / m for m in reversed(moduli)])
-        h = core.random_so_element(space, np.random.default_rng(40 + seed))
-        g = h @ d @ np.linalg.inv(h)
+        space, g = conjugated_boost(n, seed)
         bank = proximal.sample_isotropic_bank(space, seed, 300)
         split = proximal.spectral_split(space, g)
-        xp = core.orthonormalize_oriented(split.attracting.columns)
-        xm = core.orthonormalize_oriented(split.repelling.columns)
+        zp = split.attracting.columns
+        zm = split.repelling.columns
         for r, eps in ((0.45, 0.21), (0.2, 0.05), (0.7, 0.3)):
             cert = proximal.is_r_eps_proximal(space, g, r, eps, 300, seed)
-            admissible, margin = reference_certificate(space, g, eps, bank, xm, xp)
+            admissible, margin = reference_certificate(space, g, eps, bank, zm, zp)
             assert cert.admissible == admissible
             if n == 1:
-                # the n = 1 branch takes arccos of cosines and maps all
-                # admissible samples in one matrix product, whose BLAS kernel
-                # rounds differently from one product per sample: the
-                # margin agrees to a few ulps, not bitwise
+                # the n = 1 branch normalizes all admissible images in one
+                # matrix product and one norm call, which round differently
+                # from one QR per sample: the margin agrees to a few ulps
                 assert cert.margin_attract == pytest.approx(margin, rel=0, abs=1e-15)
             else:
                 assert cert.margin_attract == margin
-            assert cert.separation == proximal.nontransverse_distance(space, xp, xm)
+            # the separation is the split's own transversality value
+            pairing = np.linalg.svd(zp.T @ space.form @ zm, compute_uv=False)
+            assert cert.separation == float(pairing[-1])
             assert cert.passed == (cert.separation >= r and margin > 0.0)
             # V+ and V- without orientation: the split's Schur columns, bitwise
             for got, want in ((cert.attracting, split.attracting),
                               (cert.repelling, split.repelling)):
                 assert isinstance(got, core.SubspaceFrame)
                 assert np.array_equal(got.columns, want.columns)
+
+    @pytest.mark.parametrize("n, expected", [(1, 6), (2, 9)])
+    def test_linalg_calls_per_certificate(self, monkeypatch, n, expected):
+        # split: eigvals, ||A||_2, two ordered Schurs, one pairing SVD; then
+        # n = 1: one column norm; n >= 2: the bank pairing SVD, one stacked
+        # QR of the images and the two SVDs of the hybrid angle
+        space, g = conjugated_boost(n, 0)
+        bank = proximal.sample_isotropic_bank(space, 0, 300)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                caller = sys._getframe(1).f_globals.get("__name__", "")
+                if caller.startswith("properaffine"):
+                    calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (np.linalg, scipy.linalg):
+            for name, fn in list(vars(module).items()):
+                if (not name.startswith("_") and callable(fn)
+                        and not inspect.isclass(fn)):
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        proximal.is_r_eps_proximal(space, g, 0.45, 0.21, 300, 0, _bank=bank)
+        assert len(calls) == expected, collections.Counter(calls)
 
     def test_insufficient_samples_n2(self, space2):
         g = np.diag([3.0, 2.0, 1.0, 1 / 3.0, 0.5])

@@ -265,13 +265,10 @@ class TestSharedWork:
         assert len(calls["neutral_vector"]) == len(calls["spectral_split"])
         assert set(calls["spectral_split"]) == set(calls["neutral_vector"]) == {0}
 
-    @pytest.mark.parametrize("name, expected", [
-        ("block_n2", 1),
-        ("margulis_positive_n1", 0),
-    ])
-    def test_bank_reorthonormalized_once(self, monkeypatch, small_params,
-                                         name, expected):
-        # for n >= 2 the certificates share one re-orthonormalized bank
+    @pytest.mark.parametrize("name", ["block_n2", "margulis_positive_n1"])
+    def test_bank_never_reorthonormalized(self, monkeypatch, small_params, name):
+        # the bank frames are orthonormal when built; certificates pair them
+        # as they are and orthonormalize only their images
         banks = []
         stacked = []
         make_bank = proximal.sample_isotropic_bank
@@ -292,7 +289,7 @@ class TestSharedWork:
         params = dataclasses.replace(small_params, ball_length=1)
         reports.run_report(rep, params)
         assert len(banks) == 1
-        assert sum(frames is banks[0] for frames in stacked) == expected
+        assert not any(np.shares_memory(frames, banks[0]) for frames in stacked)
 
 
 class TestCli:
