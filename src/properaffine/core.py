@@ -130,31 +130,37 @@ def orthonormalize_oriented(columns):
     """Euclidean-orthonormalize columns without flipping orientation.
 
     QR with the sign of the R diagonal fixed to be positive, so the transition
-    matrix from the input to the output has positive determinant.
+    matrix from the input to the output has positive determinant.  A
+    (..., dim, k) stack is orthonormalized matrix by matrix.
     """
     b = as_columns(columns)
     q, r = np.linalg.qr(b)
-    s = np.sign(np.diag(r))
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
-    return q * s
+    return q * s[..., None, :]
 
 
-def principal_angles(a, b):
-    """Principal angles between the spans of two column frames, ascending.
+def _principal_angles(qa, qb):
+    """Unsorted principal angles of orthonormal qa against qb, over a stack.
 
     Hybrid cosine/sine formulation: arccos of the singular values of Qa^T Qb
     loses all accuracy below ~1e-8, so small angles are recovered from the
     singular values of (I - Qa Qa^T) Qb instead.
     """
+    c = np.swapaxes(qa, -1, -2) @ qb
+    cosv = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, 1.0)
+    sinv = np.linalg.svd(qb - qa @ c, compute_uv=False)
+    sinv = np.clip(np.sort(sinv, axis=-1), 0.0, 1.0)  # ascending, like the angles
+    return np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv))
+
+
+def principal_angles(a, b):
+    """Principal angles between the spans of two column frames, ascending."""
     qa = orthonormalize_oriented(a)
     qb = orthonormalize_oriented(b)
     if qa.shape[1] != qb.shape[1]:
         raise FrameError("frames of unequal dimension have no principal-angle distance")
-    cosv = np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), 0.0, 1.0)
-    sinv = np.linalg.svd(qb - qa @ (qa.T @ qb), compute_uv=False)
-    sinv = np.clip(np.sort(sinv), 0.0, 1.0)  # ascending, aligned with ascending angles
-    angles = np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv))
-    return np.sort(angles)
+    return np.sort(_principal_angles(qa, qb))
 
 
 def largest_principal_angle(a, b):
@@ -274,32 +280,30 @@ def canonical_orientation(space, isotropic, positive=None, tol=DEFAULT_TOL):
     q = orthonormalize_oriented(b)
 
     if positive is not None:
-        pos = as_columns(positive)
+        pos = SubspaceFrame(as_columns(positive))
         if signature(space, pos) != (0, space.n + 1, 0):
             raise FrameError("reference subspace must be positive definite of "
                              "dimension n+1")
-        neg = b_orthogonal_complement(space, SubspaceFrame(pos)).columns
+        neg = b_orthogonal_complement(space, pos).columns
         _, cneg = split_coordinates(pos, neg, q)
         q = neg @ cneg
-    return _reference_orientation(space, q)
+    return int(_orientation(space, q))
 
 
-@lru_cache(maxsize=None)
-def _reference_basis(n):
-    """[reference positive | reference negative] frame as one matrix."""
-    pos, neg = _default_frames(n)
-    return _readonly(np.hstack([pos.columns, neg.columns]))
+def _orientation(space, q):
+    """Orientation signs of a (..., dim, n) stack of frames, as an int array.
 
-
-def _reference_orientation(space, q):
-    """Sign of q expressed in the reference negative frame along the positive one."""
-    # the reference basis is orthogonal, so it needs no singularity check
-    coords = np.linalg.solve(_reference_basis(space.n), q)[space.n + 1:]
-    det = np.linalg.det(coords)
-    if abs(det) < 1e-12:
+    The coordinates of q in the reference negative frame, along the reference
+    positive one, are (q_top - q_bot) / sqrt 2, with q_top the first n rows
+    and q_bot the last n; so the sign is that of det(q_top - q_bot).
+    """
+    n = space.n
+    det = np.linalg.det(q[..., :n, :] - q[..., n + 1:, :]) * 2.0 ** (-n / 2.0)
+    small = np.abs(det) < 1e-12
+    if np.any(small):
         raise OrientationError("orientation determinant %.3e is numerically "
-                               "indeterminate" % det)
-    return 1 if det > 0 else -1
+                               "indeterminate" % det[small].flat[0])
+    return np.where(det > 0, 1, -1)
 
 
 def _checked_isotropic(space, columns, tol):
@@ -337,13 +341,6 @@ def _checked_orthonormal_isotropic(space, columns, tol):
     return _checked_isotropic(space, z, tol)
 
 
-def _oriented(space, frame):
-    """IsotropicFrame of a frame already checked by _checked_isotropic."""
-    # that check implies canonical_orientation's looser isotropy test
-    orientation = _reference_orientation(space, orthonormalize_oriented(frame.columns))
-    return IsotropicFrame(frame=frame, orientation=orientation)
-
-
 def isotropic_frame(space, columns, tol=DEFAULT_TOL):
     """Validated maximal isotropic frame with its canonical orientation.
 
@@ -351,7 +348,10 @@ def isotropic_frame(space, columns, tol=DEFAULT_TOL):
     tolerance, so a caller that scales tol with a large norm does not make a
     well-conditioned frame look rank deficient.
     """
-    return _oriented(space, _checked_isotropic(space, columns, tol))
+    frame = _checked_isotropic(space, columns, tol)
+    # that check implies canonical_orientation's looser isotropy test
+    orientation = int(_orientation(space, orthonormalize_oriented(frame.columns)))
+    return IsotropicFrame(frame=frame, orientation=orientation)
 
 
 def _random_lie_element(space, rng, scale=0.5):

@@ -54,23 +54,15 @@ def _scale(a):
 def validate_membership(space, a, tol=DEFAULT_TOL):
     """Check A^T J A = J, det A = 1 and the identity-component test.
 
-    Raises MembershipError naming the failed invariant; tolerances scale with
+    The shape is checked here, the rest by in_identity_component.  Raises
+    MembershipError naming the failed invariant; tolerances scale with
     ||A||^2 so well-formed products of large elements are not rejected.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (space.dim, space.dim):
         raise MembershipError("linear part must be %dx%d, got %r"
                               % (space.dim, space.dim, a.shape))
-    scale = _scale(a)
-    defect = form_defect(space, a)
-    if defect > tol * scale:
-        raise MembershipError("form not preserved: max |A^T J A - J| = %.3e "
-                              "(allowed %.3e)" % (defect, tol * scale))
-    det = float(np.linalg.det(a))
-    if abs(det - 1.0) > tol * scale:
-        raise MembershipError("det A = %.17g, not 1 within tolerance" % det)
-    check = in_identity_component(space, a, tol=tol)
-    if not check.in_component:
+    if not in_identity_component(space, a, tol=tol).in_component:
         raise MembershipError("orientation test failed: element lies outside the "
                               "identity component")
 
@@ -99,10 +91,11 @@ def in_identity_component(space, a, tol=DEFAULT_TOL):
     scale = _scale(a)
     defect = form_defect(space, a)
     if defect > tol * scale:
-        raise MembershipError("not in SO(n+1,n): form defect %.3e" % defect)
+        raise MembershipError("form not preserved: max |A^T J A - J| = %.3e "
+                              "(allowed %.3e)" % (defect, tol * scale))
     det = float(np.linalg.det(a))
     if abs(det - 1.0) > tol * scale:
-        raise MembershipError("not in SO(n+1,n): det = %.17g" % det)
+        raise MembershipError("det A = %.17g, not 1 within tolerance" % det)
 
     pos = default_positive_frame(space).columns
     # compress the action to the reference positive subspace: coordinates of

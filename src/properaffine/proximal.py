@@ -33,7 +33,8 @@ from .core import (
     orthonormalize_oriented,
     signature,
     _checked_orthonormal_isotropic,
-    _oriented,
+    _orientation,
+    _principal_angles,
     _random_lie_element,
     _readonly,
 )
@@ -141,14 +142,17 @@ def spectral_split(space, a, tol=DEFAULT_TOL):
     V+ spans the generalized eigenvectors with |lambda| > 1 (dimension n), V-
     those with |lambda| < 1; both are maximal isotropic and transverse.  The
     neutral vector is the b-unit vector on the remaining fixed line, signed by
-    the orientation convention; gap = min log |lambda| over V+.
+    the orientation convention; gap = min log |lambda| over V+.  The two
+    Schur frames are orthonormalized once, in one stacked QR, for both
+    orientations and the neutral vector.
     """
     moduli, fp, fm, _ = _split_frames(space, a, tol)
     n = space.n
-    vplus = _oriented(space, fp)
-    vminus = _oriented(space, fm)
-    neutral = neutral_vector(space, vplus, vminus)
-    return SpectralSplit(attracting=vplus, repelling=vminus,
+    q = orthonormalize_oriented(np.stack([fp.columns, fm.columns]))
+    op, om = _orientation(space, q).tolist()
+    neutral = _neutral(space, q[0], q[1], op * om)
+    return SpectralSplit(attracting=IsotropicFrame(frame=fp, orientation=op),
+                         repelling=IsotropicFrame(frame=fm, orientation=om),
                          neutral=_readonly(neutral),
                          gap=float(np.log(moduli[n - 1])),
                          eigenvalue_moduli=_readonly(moduli))
@@ -163,8 +167,16 @@ def neutral_vector(space, vplus, vminus, tol=DEFAULT_TOL):
     """
     fp = vplus if isinstance(vplus, IsotropicFrame) else isotropic_frame(space, as_columns(vplus), tol=max(tol, 1e-7))
     fm = vminus if isinstance(vminus, IsotropicFrame) else isotropic_frame(space, as_columns(vminus), tol=max(tol, 1e-7))
-    qp = orthonormalize_oriented(fp.columns)
-    qm = orthonormalize_oriented(fm.columns)
+    q = orthonormalize_oriented(np.stack([fp.columns, fm.columns]))
+    return _neutral(space, q[0], q[1], fp.orientation * fm.orientation, tol)
+
+
+def _neutral(space, qp, qm, sign, tol=DEFAULT_TOL):
+    """neutral_vector of orthonormal qp, qm; sign is their orientations' product.
+
+    Negating the first column of a frame with orientation -1 negates the
+    determinant of [qp | v | qm] exactly, so the orientations enter as sign.
+    """
     stacked = np.vstack([qp.T @ space.form, qm.T @ space.form])
     kernel = scipy.linalg.null_space(stacked)
     if kernel.shape[1] != 1:
@@ -176,14 +188,7 @@ def neutral_vector(space, vplus, vminus, tol=DEFAULT_TOL):
         raise TransversalityError("neutral line is not spacelike (b(v,v) = %.3e)"
                                   % norm2)
     v = v / np.sqrt(norm2)
-    # orthonormalization preserves frame orientation, so the stored signs apply
-    bp = qp.copy()
-    if fp.orientation < 0:
-        bp[:, 0] = -bp[:, 0]
-    bm = qm.copy()
-    if fm.orientation < 0:
-        bm[:, 0] = -bm[:, 0]
-    det = np.linalg.det(np.hstack([bp, v[:, None], bm]))
+    det = sign * np.linalg.det(np.hstack([qp, v[:, None], qm]))
     if abs(det) < 1e-12:
         raise TransversalityError("orientation determinant %.3e indeterminate" % det)
     return v if det > 0 else -v
@@ -262,14 +267,6 @@ def nontransverse_distance(space, x, x_minus):
     return float(np.linalg.svd(qx.T @ space.form @ qm, compute_uv=False)[-1])
 
 
-def _orthonormalize_stack(frames):
-    """orthonormalize_oriented applied to every matrix of a (..., dim, k) stack."""
-    q, r = np.linalg.qr(frames)
-    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    s[s == 0] = 1.0
-    return q * s[..., None, :]
-
-
 def sample_isotropic_bank(space, seed, samples):
     """Deterministic bank of orthonormal isotropic frames, a (samples, dim, n) array.
 
@@ -281,21 +278,7 @@ def sample_isotropic_bank(space, seed, samples):
     x = np.empty((int(samples), space.dim, space.dim))
     for i in range(int(samples)):
         x[i] = _random_lie_element(space, (int(seed), i))
-    return _orthonormalize_stack(scipy.linalg.expm(x)[:, :, : space.n])
-
-
-def _largest_angles(qa, qb):
-    """largest_principal_angle of each orthonormal frame in qa against qb.
-
-    The stacked form of core.principal_angles, with its hybrid cosine/sine
-    formula; qa and qb are already orthonormalized.
-    """
-    c = np.swapaxes(qa, -1, -2) @ qb
-    cosv = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, 1.0)
-    sinv = np.linalg.svd(qb - qa @ c, compute_uv=False)
-    sinv = np.clip(np.sort(sinv, axis=-1), 0.0, 1.0)
-    angles = np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv))
-    return angles.max(axis=-1)
+    return orthonormalize_oriented(scipy.linalg.expm(x)[:, :, : space.n])
 
 
 @dataclass(frozen=True)
@@ -362,7 +345,8 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
         if admissible == 0:
             raise InsufficientSamplesError("no samples outside the eps-neighborhood "
                                            "of nt(x-)")
-        dists = _largest_angles(_orthonormalize_stack(g @ bank[keep]), xp)
+        images = orthonormalize_oriented(g @ bank[keep])
+        dists = _principal_angles(images, xp).max(axis=-1)
         margin = float(np.min(eps - dists))
 
     passed = separation >= r and margin > 0.0

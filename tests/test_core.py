@@ -147,6 +147,28 @@ class TestCanonicalOrientation:
             assert core.canonical_orientation(space, g @ frame.columns) \
                 == frame.orientation
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_matches_reference_projection(self, n):
+        # the sign of the coordinates of q in the reference negative frame,
+        # along the reference positive frame, solved against [P | N]
+        space = core.standard_form(n)
+        basis = np.hstack([core.default_positive_frame(space).columns,
+                           core.default_negative_frame(space).columns])
+        rng = np.random.default_rng(30 + n)
+        frames = []
+        for _ in range(200):
+            g = core.random_so_element(space, rng)
+            change = rng.normal(size=(n, n))  # det < 0 reverses the orientation
+            frames.append(g[:, :n] @ change)
+        signs = [core.canonical_orientation(space, f) for f in frames]
+        for frame, sign in zip(frames, signs):
+            q = core.orthonormalize_oriented(frame)
+            coords = np.linalg.solve(basis, q)[n + 1:]
+            assert sign == (1 if np.linalg.det(coords) > 0 else -1)
+        assert set(signs) == {-1, 1}
+        stack = core.orthonormalize_oriented(np.stack(frames))
+        assert core._orientation(space, stack).tolist() == signs
+
     def test_rejects_non_isotropic(self):
         space = core.standard_form(1)
         with pytest.raises(core.FrameError):

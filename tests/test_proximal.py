@@ -131,6 +131,17 @@ class TestSpectralSplit:
                                        tol=rep.tol)
         assert split.gap == pytest.approx(9 * base.gap, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_linalg_calls_per_split(self, monkeypatch, n):
+        # eigvals, ||A||_2, two ordered Schurs and the pairing SVD; one
+        # stacked QR of both Schur frames, one stacked orientation det; the
+        # neutral vector's null_space and its orientation det
+        space, g = conjugated_boost(n, 0)
+        proximal.spectral_split(space, g)  # fills any per-n cache first
+        calls = count_linalg_calls(monkeypatch)
+        proximal.spectral_split(space, g)
+        assert len(calls) == 9, collections.Counter(calls)
+
 
 class TestNeutralVector:
     def test_frozen_standard_pair(self, space1):
@@ -356,6 +367,26 @@ def conjugated_boost(n, seed):
     return space, h @ d @ np.linalg.inv(h)
 
 
+def count_linalg_calls(monkeypatch):
+    """List that records every numpy.linalg / scipy.linalg call the package makes."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("properaffine"):
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (np.linalg, scipy.linalg):
+        for name, fn in list(vars(module).items()):
+            if (not name.startswith("_") and callable(fn)
+                    and not inspect.isclass(fn)):
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return calls
+
+
 class TestBatchedCertificate:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -393,21 +424,7 @@ class TestBatchedCertificate:
         # QR of the images and the two SVDs of the hybrid angle
         space, g = conjugated_boost(n, 0)
         bank = proximal.sample_isotropic_bank(space, 0, 300)
-        calls = []
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                caller = sys._getframe(1).f_globals.get("__name__", "")
-                if caller.startswith("properaffine"):
-                    calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module in (np.linalg, scipy.linalg):
-            for name, fn in list(vars(module).items()):
-                if (not name.startswith("_") and callable(fn)
-                        and not inspect.isclass(fn)):
-                    monkeypatch.setattr(module, name, counting(name, fn))
+        calls = count_linalg_calls(monkeypatch)
         proximal.is_r_eps_proximal(space, g, 0.45, 0.21, 300, 0, _bank=bank)
         assert len(calls) == expected, collections.Counter(calls)
 

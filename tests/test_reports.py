@@ -233,7 +233,7 @@ class TestSharedWork:
         # every report split computes one neutral vector; certificates need
         # V+ and V- only, so they call neither
         depth = [0]
-        calls = {"spectral_split": [], "neutral_vector": [], "certificates": 0}
+        calls = {"spectral_split": [], "_neutral": [], "certificates": 0}
 
         def certifying(fn):
             def wrapper(*args, **kwargs):
@@ -252,7 +252,7 @@ class TestSharedWork:
             return wrapper
 
         wrapped = {"is_r_eps_proximal": certifying(proximal.is_r_eps_proximal)}
-        for name in ("spectral_split", "neutral_vector"):
+        for name in ("spectral_split", "_neutral"):
             wrapped[name] = recording(name, getattr(proximal, name))
         for name, fn in wrapped.items():
             for module in (proximal, margulis, anosov, reports):
@@ -262,8 +262,8 @@ class TestSharedWork:
         reports.run_report(rep, small_params)
         assert calls["certificates"] > 0
         assert len(calls["spectral_split"]) > 0
-        assert len(calls["neutral_vector"]) == len(calls["spectral_split"])
-        assert set(calls["spectral_split"]) == set(calls["neutral_vector"]) == {0}
+        assert len(calls["_neutral"]) == len(calls["spectral_split"])
+        assert set(calls["spectral_split"]) == set(calls["_neutral"]) == {0}
 
     @pytest.mark.parametrize("name", ["block_n2", "margulis_positive_n1"])
     def test_bank_never_reorthonormalized(self, monkeypatch, small_params, name):
@@ -272,7 +272,7 @@ class TestSharedWork:
         banks = []
         stacked = []
         make_bank = proximal.sample_isotropic_bank
-        orthonormalize_stack = proximal._orthonormalize_stack
+        orthonormalize = proximal.orthonormalize_oriented
 
         def sampling(*args, **kwargs):
             banks.append(make_bank(*args, **kwargs))
@@ -280,11 +280,11 @@ class TestSharedWork:
 
         def orthonormalizing(frames):
             stacked.append(frames)
-            return orthonormalize_stack(frames)
+            return orthonormalize(frames)
 
         monkeypatch.setattr(proximal, "sample_isotropic_bank", sampling)
         monkeypatch.setattr(reports, "sample_isotropic_bank", sampling)
-        monkeypatch.setattr(proximal, "_orthonormalize_stack", orthonormalizing)
+        monkeypatch.setattr(proximal, "orthonormalize_oriented", orthonormalizing)
         rep = reports.build_rep(repcatalog.catalog(name))
         params = dataclasses.replace(small_params, ball_length=1)
         reports.run_report(rep, params)

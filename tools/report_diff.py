@@ -34,6 +34,10 @@ COMMANDS = [
     "scorecard --catalog margulis_positive_n1 --ball 4",
     "proximality --catalog block_n2 --ball 2",
     "spectrum --catalog margulis_positive_n1 --ball 7",
+    # ||A||_2 reaches 2^32, where orientation determinants are smallest
+    "spectrum --catalog margulis_positive_n1 --ball 8",
+    # the n = 1 certificate path in a report without a scorecard
+    "proximality --catalog margulis_positive_n1 --ball 3",
 ]
 
 
