@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    largest_principal_angle,
     orthonormalize_oriented,
+    _principal_angles,
     _readonly,
 )
 from .group import ball_elements, evaluate_word
@@ -78,31 +78,24 @@ def transversality_matrix(space, samples, same_point_tol=1e-6):
     the two attracting frames.  Pairs whose attracting AND repelling data
     coincide (powers, conjugates fixing the same points) are excluded: their
     pairing is legitimately singular and says nothing about transversality.
+    All frames are orthonormalized in one stacked QR, and every pair's angles
+    and pairing come from one stacked call each.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
-    qs = [orthonormalize_oriented(s.attracting.columns) for s in samples]
     m = len(samples)
+    q = orthonormalize_oriented(np.array(
+        [(s.attracting.columns, s.repelling.columns) for s in samples]))
+    i, j = np.triu_indices(m, 1)
+    same = (_principal_angles(q[i], q[j]).max(-1) < same_point_tol).all(-1)
+    sv = np.linalg.svd(np.swapaxes(q[i, 0], -1, -2) @ space.form @ q[j, 0],
+                       compute_uv=False)[:, -1]
+    keep = ~same
     margins = np.full((m, m), np.nan)
-    excluded = 0
-    best = np.inf
-    for i in range(m):
-        for j in range(i + 1, m):
-            same_att = largest_principal_angle(
-                samples[i].attracting.columns, samples[j].attracting.columns
-            ) < same_point_tol
-            same_rep = largest_principal_angle(
-                samples[i].repelling.columns, samples[j].repelling.columns
-            ) < same_point_tol
-            if same_att and same_rep:
-                excluded += 1
-                continue
-            sv = np.linalg.svd(qs[i].T @ space.form @ qs[j], compute_uv=False)
-            margins[i, j] = margins[j, i] = float(sv[-1])
-            best = min(best, float(sv[-1]))
-    return TransversalityMatrix(margins=_readonly(margins),
-                                min_margin=float(best) if best < np.inf else np.nan,
-                                excluded_pairs=excluded)
+    margins[i[keep], j[keep]] = margins[j[keep], i[keep]] = sv[keep]
+    min_margin = float(sv[keep].min()) if keep.any() else np.nan
+    return TransversalityMatrix(margins=_readonly(margins), min_margin=min_margin,
+                                excluded_pairs=int(same.sum()))
 
 
 @dataclass(frozen=True)
@@ -127,26 +120,29 @@ def contraction_trace(space, a, kmax, tol=DEFAULT_TOL):
     value on V+ (slope should be +gap) and k -> max log singular value on V-
     (slope should be -gap); residuals are max absolute fit deviations.
     """
-    if kmax < 3:
-        raise ValueError("kmax must be >= 3")
     a = np.asarray(a, dtype=float)
     split = spectral_split(space, a, tol=tol)
-    qp = orthonormalize_oriented(split.attracting.columns)
-    qm = orthonormalize_oriented(split.repelling.columns)
-    ks = np.arange(1, kmax + 1)
-    log_plus = np.empty(kmax)
-    log_minus = np.empty(kmax)
+    return _trace(space, a, split.attracting, split.repelling, split.gap, kmax)
+
+
+def _trace(space, a, attracting, repelling, gap, kmax):
+    """contraction_trace of a from its split's frames and gap: one stacked QR
+    of both frames and one stacked SVD of all restricted powers."""
+    if kmax < 3:
+        raise ValueError("kmax must be >= 3")
+    q = orthonormalize_oriented(np.stack([attracting.columns, repelling.columns]))
     # power the restrictions, not the ambient matrix: the contracting signal
     # in A^k is below the absolute float error of its large entries
-    rp = qp.T @ a @ qp
-    rm = qm.T @ a @ qm
-    rpk = np.eye(space.n)
-    rmk = np.eye(space.n)
-    for i, _ in enumerate(ks):
-        rpk = rpk @ rp
-        rmk = rmk @ rm
-        log_plus[i] = np.log(np.linalg.svd(rpk, compute_uv=False)[-1])
-        log_minus[i] = np.log(np.linalg.svd(rmk, compute_uv=False)[0])
+    r = np.swapaxes(q, -1, -2) @ a @ q
+    powers = np.empty((2, kmax, space.n, space.n))
+    rk = np.eye(space.n)
+    for k in range(kmax):
+        rk = rk @ r
+        powers[:, k] = rk
+    sv = np.linalg.svd(powers, compute_uv=False)
+    ks = np.arange(1, kmax + 1)
+    log_plus = np.log(sv[0, :, -1])
+    log_minus = np.log(sv[1, :, 0])
     fit_p = np.polyfit(ks, log_plus, 1)
     fit_m = np.polyfit(ks, log_minus, 1)
     res_p = float(np.abs(np.polyval(fit_p, ks) - log_plus).max())
@@ -156,7 +152,7 @@ def contraction_trace(space, a, kmax, tol=DEFAULT_TOL):
                             log_sv_minus=_readonly(log_minus),
                             slope_plus=float(fit_p[0]), slope_minus=float(fit_m[0]),
                             residual_plus=res_p, residual_minus=res_m,
-                            gap=split.gap)
+                            gap=gap)
 
 
 @dataclass(frozen=True)
@@ -238,8 +234,8 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
     restricted singular values carry a transient that decays only
     geometrically, which would drown the residual threshold without saying
     anything about contraction itself.  The ball is split once, by the
-    spectrum; frames are sampled at generator level only.  _bank is handed to
-    ams_cover.
+    spectrum; frames are sampled at generator level only, and each trace
+    reads its sample's frames and gap.  _bank is handed to ams_cover.
     """
     spec = spectrum(rep, ball_length, zero_tol=zero_tol, label=label)
     gen_samples, nonprox_generators = limit_map_samples(rep, 1)
@@ -256,8 +252,8 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
     slope_dev = 0.0
     residual = 0.0
     for s in gen_samples:
-        trace = contraction_trace(rep.space, evaluate_word(rep, s.word).linear,
-                                  kmax=kmax, tol=rep.tol)
+        trace = _trace(rep.space, evaluate_word(rep, s.word).linear,
+                       s.attracting, s.repelling, s.gap, kmax)
         slope_dev = max(slope_dev, abs(trace.slope_plus - trace.gap),
                         abs(trace.slope_minus + trace.gap))
         residual = max(residual, trace.residual_plus, trace.residual_minus)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .core import GeometryError
 from .repcatalog import CATALOG_NAMES, catalog
-from .group import MembershipError
+from .group import MembershipError, form_defect
 from .proximal import ParameterError
 from .reports import (
     DocumentError,
@@ -21,6 +21,7 @@ from .reports import (
     document_from_dict,
     emit,
     run_report,
+    _json_bytes,
 )
 
 EXIT_OK = 0
@@ -129,13 +130,11 @@ def _check_command(args):
         "rank": rep.rank,
         "valid": True,
         "generators": [
-            {"index": i + 1,
-             "form_defect": float(abs(g.linear.T @ rep.space.form @ g.linear
-                                      - rep.space.form).max())}
+            {"index": i + 1, "form_defect": form_defect(rep.space, g.linear)}
             for i, g in enumerate(rep.generators)
         ],
     }
-    _write(args, (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+    _write(args, _json_bytes(summary))
     return EXIT_OK
 
 

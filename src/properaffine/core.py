@@ -242,34 +242,16 @@ def default_negative_frame(space):
     return _default_frames(space.n)[1]
 
 
-def split_coordinates(first, second, vectors):
-    """Coordinates of vectors in the direct-sum basis [first | second].
-
-    Returns (c1, c2) with vectors = first @ c1 + second @ c2.  Raises
-    FrameError when the assembled basis is numerically singular.
-    """
-    f = as_columns(first)
-    s = as_columns(second)
-    basis = np.hstack([f, s])
-    if basis.shape[0] != basis.shape[1]:
-        raise FrameError("splitting frames do not assemble to a square basis")
-    sv = np.linalg.svd(basis, compute_uv=False)
-    if sv[-1] <= 1e-13 * sv[0]:
-        raise FrameError("direct-sum basis numerically singular (smallest sv %.3e)"
-                         % sv[-1])
-    coef = np.linalg.solve(basis, as_columns(vectors))
-    return coef[: f.shape[1]], coef[f.shape[1]:]
-
-
 def canonical_orientation(space, isotropic, positive=None, tol=DEFAULT_TOL):
     """Consistent orientation sign of a maximal isotropic frame.
 
-    The frame is projected onto the negative-definite complement of `positive`
-    along `positive` (both projections are isomorphisms on isotropic
-    subspaces), and that image is expressed in the reference negative frame by
-    projecting along the reference positive frame.  The sign of the resulting
-    n x n determinant is the orientation.  It does not depend on the choice of
-    `positive`, and the standard frame (e_1, ..., e_n) gets +1.
+    The frame q is projected onto the negative-definite complement of
+    `positive` = P along P, as q - P (P^T J P)^-1 P^T J q (both projections
+    are isomorphisms on isotropic subspaces), and that image is expressed in
+    the reference negative frame by projecting along the reference positive
+    frame.  The sign of the resulting n x n determinant is the orientation.
+    It does not depend on the choice of `positive`, and the standard frame
+    (e_1, ..., e_n) gets +1.
     """
     b = as_columns(isotropic)
     if b.shape != (space.dim, space.n):
@@ -284,9 +266,9 @@ def canonical_orientation(space, isotropic, positive=None, tol=DEFAULT_TOL):
         if signature(space, pos) != (0, space.n + 1, 0):
             raise FrameError("reference subspace must be positive definite of "
                              "dimension n+1")
-        neg = b_orthogonal_complement(space, pos).columns
-        _, cneg = split_coordinates(pos, neg, q)
-        q = neg @ cneg
+        p = pos.columns
+        pj = p.T @ space.form
+        q = q - p @ np.linalg.solve(pj @ p, pj @ q)
     return int(_orientation(space, q))
 
 

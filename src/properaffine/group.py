@@ -21,9 +21,7 @@ from .core import (
     GeometryError,
     OrientationError,
     canonical_orientation,
-    default_negative_frame,
     default_positive_frame,
-    split_coordinates,
     _readonly,
 )
 
@@ -98,10 +96,9 @@ def in_identity_component(space, a, tol=DEFAULT_TOL):
         raise MembershipError("det A = %.17g, not 1 within tolerance" % det)
 
     pos = default_positive_frame(space).columns
-    # compress the action to the reference positive subspace: coordinates of
-    # the projected images of its basis
-    cpos, _ = split_coordinates(pos, default_negative_frame(space).columns, a @ pos)
-    compressed_det = float(np.linalg.det(cpos))
+    # compress the action to the reference positive subspace: the basis is
+    # b-orthonormal, so b-pairings are the coordinates of the projected images
+    compressed_det = float(np.linalg.det(pos.T @ space.form @ a @ pos))
     if abs(compressed_det) <= tol:
         raise OrientationError("compressed determinant %.3e numerically "
                                "indeterminate" % compressed_det)

@@ -8,9 +8,11 @@ identical runs produce byte-identical output apart from the timing block.
 """
 
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -19,8 +21,10 @@ from .core import DEFAULT_TOL, standard_form
 from .group import AffineIsometry, FreeGroupRep
 from .margulis import LENGTH_PROXY_NOTE, spectrum
 from .proximal import (
+    InsufficientSamplesError,
     NotProximalError,
     ParameterError,
+    TransversalityError,
     ams_cover,
     is_r_eps_proximal,
     sample_isotropic_bank,
@@ -32,8 +36,24 @@ CSV_HEADER = "word,alpha,length_proxy,normalized,sign,gap"
 SIGN_COLORS = {"+": "#2166ac", "-": "#b2182b", "0": "#7f7f7f"}
 
 
+_CERTIFICATE_FAILURES = {NotProximalError: "not proximal",
+                        InsufficientSamplesError: "insufficient samples",
+                        TransversalityError: "not transverse"}
+
+
 class DocumentError(ValueError):
     """Malformed or inconsistent representation document."""
+
+
+def _json_bytes(data):
+    """Indented, key-sorted JSON of data plus a newline, as bytes, encoded 2048
+    encoder chunks (about 17k characters) at a time: never one str in full."""
+    out = io.BytesIO()
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    while batch := "".join(islice(chunks, 2048)):
+        out.write(batch.encode())
+    out.write(b"\n")
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -60,7 +80,7 @@ class RepDocument:
         return out
 
     def to_bytes(self):
-        return (json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        return _json_bytes(self.to_dict())
 
     def digest(self):
         """Content hash of the mathematical payload, independent of the label."""
@@ -221,7 +241,7 @@ class ReportDocument:
         }
 
     def to_bytes(self):
-        return (json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        return _json_bytes(self.to_dict())
 
 
 ALL_BLOCKS = ("spectrum", "scorecard", "proximality")
@@ -233,7 +253,8 @@ def run_report(rep, params=None, label="", include=ALL_BLOCKS):
     The sample bank is built once and shared by every certificate, and the
     cover is searched once: the proximality block reuses the scorecard's.
     The spectrum is computed once too: with the scorecard block it is the
-    scorecard's own, and its time counts in scorecard_s.
+    scorecard's own, and its time counts in scorecard_s.  A generator
+    certificate that fails (_CERTIFICATE_FAILURES) is recorded with its error.
     """
     params = params or ReportParameters()
     params.validate()
@@ -296,9 +317,10 @@ def run_report(rep, params=None, label="", include=ALL_BLOCKS):
                               "separation": cert.separation,
                               "margin_attract": cert.margin_attract,
                               "admissible": cert.admissible})
-            except NotProximalError as exc:
+            except tuple(_CERTIFICATE_FAILURES) as exc:
                 certs.append({"generator": i + 1, "passed": False,
-                              "error": "not proximal: %s" % exc})
+                              "error": "%s: %s" % (_CERTIFICATE_FAILURES[type(exc)],
+                                                   exc)})
         if card is None:
             cover = ams_cover(rep, r=params.r, eps=params.eps,
                               ball_length=params.ball_length,

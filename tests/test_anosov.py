@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from properaffine import anosov, core, group, margulis, proximal, repcatalog
+from test_proximal import count_linalg_calls
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +262,172 @@ class TestScorecard:
         b = anosov.affine_anosov_scorecard(conjugated, ball_length=2, r=0.05,
                                            eps=0.02, samples=300, seed=3)
         assert a.spectrum_verdict.kind == b.spectrum_verdict.kind
+
+
+def reference_transversality(space, samples, same_point_tol=1e-6):
+    """(margins, min_margin, excluded_pairs) from a loop over the pairs."""
+    qs = [core.orthonormalize_oriented(s.attracting.columns) for s in samples]
+    m = len(samples)
+    margins = np.full((m, m), np.nan)
+    excluded = 0
+    best = np.inf
+    for i in range(m):
+        for j in range(i + 1, m):
+            same_att = core.largest_principal_angle(
+                samples[i].attracting.columns, samples[j].attracting.columns
+            ) < same_point_tol
+            same_rep = core.largest_principal_angle(
+                samples[i].repelling.columns, samples[j].repelling.columns
+            ) < same_point_tol
+            if same_att and same_rep:
+                excluded += 1
+                continue
+            sv = np.linalg.svd(qs[i].T @ space.form @ qs[j], compute_uv=False)
+            margins[i, j] = margins[j, i] = float(sv[-1])
+            best = min(best, float(sv[-1]))
+    return margins, float(best) if best < np.inf else np.nan, excluded
+
+
+def reference_trace(space, a, kmax, tol=core.DEFAULT_TOL):
+    """ContractionTrace fields from one pair of SVDs per power."""
+    split = proximal.spectral_split(space, a, tol=tol)
+    qp = core.orthonormalize_oriented(split.attracting.columns)
+    qm = core.orthonormalize_oriented(split.repelling.columns)
+    ks = np.arange(1, kmax + 1)
+    log_plus = np.empty(kmax)
+    log_minus = np.empty(kmax)
+    rp = qp.T @ a @ qp
+    rm = qm.T @ a @ qm
+    rpk = np.eye(space.n)
+    rmk = np.eye(space.n)
+    for i, _ in enumerate(ks):
+        rpk = rpk @ rp
+        rmk = rmk @ rm
+        log_plus[i] = np.log(np.linalg.svd(rpk, compute_uv=False)[-1])
+        log_minus[i] = np.log(np.linalg.svd(rmk, compute_uv=False)[0])
+    fit_p = np.polyfit(ks, log_plus, 1)
+    fit_m = np.polyfit(ks, log_minus, 1)
+    return {"k_values": ks.astype(float), "log_sv_plus": log_plus,
+            "log_sv_minus": log_minus, "slope_plus": float(fit_p[0]),
+            "slope_minus": float(fit_m[0]),
+            "residual_plus": float(np.abs(np.polyval(fit_p, ks) - log_plus).max()),
+            "residual_minus": float(np.abs(np.polyval(fit_m, ks) - log_minus).max()),
+            "gap": split.gap}
+
+
+def assert_trace_equal(trace, expected):
+    for name, value in expected.items():
+        got = getattr(trace, name)
+        if isinstance(value, np.ndarray):
+            assert got.shape == value.shape and np.array_equal(got, value), name
+        else:
+            assert got == value, name
+
+
+def assert_transversality_equal(tmat, expected):
+    margins, min_margin, excluded = expected
+    assert np.array_equal(tmat.margins, margins, equal_nan=True)
+    assert np.array_equal(tmat.min_margin, min_margin, equal_nan=True)
+    assert tmat.excluded_pairs == excluded
+
+
+def conjugate_samples(n):
+    """Splits of non-normal conjugates h D h^-1 and of some squares, at n."""
+    space = core.standard_form(n)
+    moduli = [2.0 ** (n - i + 1) for i in range(n)]
+    d = np.diag(moduli + [1.0] + [1.0 / m for m in reversed(moduli)])
+    elements, samples = [], []
+    for seed in range(12):
+        h = core.random_so_element(space, 100 * n + seed, scale=0.3)
+        g = h @ d @ np.linalg.inv(h)
+        powers = (g, g @ g) if seed % 4 == 0 else (g,)
+        for k, gk in enumerate(powers, start=1):
+            split = proximal.spectral_split(space, gk)
+            elements.append(gk)
+            samples.append(anosov.LimitSample(word=(seed, k),
+                                              attracting=split.attracting,
+                                              repelling=split.repelling,
+                                              gap=split.gap))
+    return space, elements, samples
+
+
+CATALOG_NAMES = ("margulis_positive_n1", "block_n2", "mixed_sign_n1")
+
+
+class TestStackedDiagnostics:
+    """The stacked calls equal the per-pair and per-power loops bitwise."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("ball", [1, 2, 3])
+    def test_catalog_transversality(self, name, ball):
+        rep = repcatalog.catalog_rep(name)
+        samples, _ = anosov.limit_map_samples(rep, ball)
+        tmat = anosov.transversality_matrix(rep.space, samples)
+        assert_transversality_equal(tmat, reference_transversality(rep.space, samples))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("ball", [1, 2, 3])
+    def test_catalog_traces(self, name, ball):
+        rep = repcatalog.catalog_rep(name)
+        for w, g in group.ball_elements(rep, ball):
+            if len(w.letters) < ball:
+                continue
+            try:
+                expected = reference_trace(rep.space, g.linear, 20, rep.tol)
+            except proximal.NotProximalError:
+                continue
+            trace = anosov.contraction_trace(rep.space, g.linear, kmax=20,
+                                             tol=rep.tol)
+            assert_trace_equal(trace, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_conjugate_transversality(self, n):
+        space, _, samples = conjugate_samples(n)
+        excluded = 0
+        for m in (2, 4, 7, len(samples)):
+            tmat = anosov.transversality_matrix(space, samples[:m])
+            assert_transversality_equal(tmat, reference_transversality(space,
+                                                                       samples[:m]))
+            excluded = max(excluded, tmat.excluded_pairs)
+        assert excluded > 0   # the squares share their roots' points
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_conjugate_traces(self, n):
+        space, elements, _ = conjugate_samples(n)
+        for g in elements:
+            for kmax in (3, 20):
+                assert_trace_equal(anosov.contraction_trace(space, g, kmax=kmax),
+                                   reference_trace(space, g, kmax))
+
+    def test_linalg_calls_per_trace(self, monkeypatch):
+        space, elements, _ = conjugate_samples(2)
+        proximal.spectral_split(space, elements[0])   # warm the frame caches
+        calls = count_linalg_calls(monkeypatch)
+        anosov.contraction_trace(space, elements[0], kmax=20)
+        assert len(calls) <= 11, calls   # the split's 9, one qr, one svd
+
+    @pytest.mark.parametrize("name, ball", [("margulis_positive_n1", 1),
+                                            ("margulis_positive_n1", 2),
+                                            ("block_n2", 2)])
+    def test_linalg_calls_per_matrix(self, monkeypatch, name, ball):
+        rep = repcatalog.catalog_rep(name)
+        samples, _ = anosov.limit_map_samples(rep, ball)
+        calls = count_linalg_calls(monkeypatch)
+        anosov.transversality_matrix(rep.space, samples)
+        assert len(calls) <= 4, calls   # one qr, the angles' two svds, one svd
+
+    def test_scorecard_traces_read_the_samples_splits(self, monkeypatch, schottky):
+        splits = []
+        split = anosov.spectral_split
+
+        def counting(*args, **kwargs):
+            splits.append(args)
+            return split(*args, **kwargs)
+        monkeypatch.setattr(anosov, "spectral_split", counting)
+        monkeypatch.setattr(anosov, "contraction_trace", None)
+        card = anosov.affine_anosov_scorecard(schottky, ball_length=2, r=0.4,
+                                              eps=0.19, samples=200, seed=6)
+        # limit_map_samples splits each generator word once; contraction
+        # does not split again
+        assert len(splits) == 2 * schottky.rank
+        assert card.max_residual < 1e-6

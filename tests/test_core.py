@@ -169,6 +169,34 @@ class TestCanonicalOrientation:
         stack = core.orthonormalize_oriented(np.stack(frames))
         assert core._orientation(space, stack).tolist() == signs
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_explicit_reference_matches_complement_projection(self, n):
+        # the projection along P onto its b-orthogonal complement N, from the
+        # coordinates of q in [P | N]
+        space = core.standard_form(n)
+        rng = np.random.default_rng(60 + n)
+        signs = []
+        for t in range(200):
+            pos = core.random_positive_definite_subspace(space, 3000 + t).columns
+            g = core.random_so_element(space, rng)
+            frame = g[:, :n] @ rng.normal(size=(n, n))  # det < 0 reverses it
+            q = core.orthonormalize_oriented(frame)
+            neg = core.b_orthogonal_complement(space, pos).columns
+            coords = np.linalg.solve(np.hstack([pos, neg]), q)[n + 1:]
+            sign = core.canonical_orientation(space, frame, positive=pos)
+            assert sign == int(core._orientation(space, neg @ coords))
+            signs.append(sign)
+        assert set(signs) == {-1, 1}
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e14])
+    def test_explicit_reference_scale_free(self, scale):
+        # the projection does not depend on the reference basis' scale
+        space = core.standard_form(2)
+        frame = core.random_isotropic_frame(space, 41)
+        pos = core.random_positive_definite_subspace(space, 42).columns
+        assert core.canonical_orientation(space, frame.columns,
+                                          positive=scale * pos) == frame.orientation
+
     def test_rejects_non_isotropic(self):
         space = core.standard_form(1)
         with pytest.raises(core.FrameError):

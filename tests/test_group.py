@@ -40,6 +40,27 @@ class TestIdentityComponent:
         with pytest.raises(group.MembershipError):
             group.in_identity_component(space1, 2 * np.eye(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_compressed_det_matches_coordinates(self, n):
+        # coordinates of the images of the reference positive basis in the
+        # direct-sum basis [positive | negative], solved for
+        space = core.standard_form(n)
+        pos = core.default_positive_frame(space).columns
+        basis = np.hstack([pos, core.default_negative_frame(space).columns])
+        sigma = reversing_element(n)
+        rng = np.random.default_rng(90 + n)
+        signs = set()
+        for t in range(200):
+            a = core.random_so_element(space, rng)
+            if t % 2:
+                a = a @ sigma
+            expected = np.linalg.det(np.linalg.solve(basis, a @ pos)[: n + 1])
+            det = group.in_identity_component(space, a).compressed_det
+            assert det == pytest.approx(expected, rel=1e-12)
+            assert np.sign(det) == np.sign(expected)
+            signs.add(np.sign(det))
+        assert signs == {-1.0, 1.0}
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_multiplicative(self, n):
         space = core.standard_form(n)

@@ -154,6 +154,17 @@ class TestRunReport:
         d2.pop("timing")
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
+    def test_json_bytes_equal_one_shot_encoding(self, positive_doc):
+        rep = reports.parse_rep(positive_doc.to_bytes())
+        params = reports.ReportParameters(ball_length=4, samples=50)
+        report = reports.run_report(rep, params, label="positive")
+        data = report.to_dict()
+        out = report.to_bytes()
+        assert len(out) > 3 * (1 << 14)   # several batches
+        assert out == (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+        assert positive_doc.to_bytes() == (json.dumps(
+            positive_doc.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
     def test_parameter_validation(self, positive_doc):
         rep = reports.parse_rep(positive_doc.to_bytes())
         bad = reports.ReportParameters(r=0.4, eps=0.3)
@@ -345,6 +356,47 @@ class TestCli:
         assert doc["spectrum"]["verdict"] == "uniform_positive"
         assert doc["spectrum"]["skipped"] == []
         assert len(doc["spectrum"]["entries"]) == len(group.word_ball(2, 9))
+
+    def test_certificate_without_admissible_samples(self, tmp_path):
+        # generator 2 has no sample outside nt(x-)'s eps-neighborhood; the
+        # certificate records that, as the cover does
+        out = tmp_path / "prox.json"
+        rc = main(["proximality", "--catalog", "margulis_positive_n1", "--ball", "1",
+                   "--samples", "1", "--r", "0.9", "--eps", "0.44",
+                   "--out", str(out)])
+        assert rc == 0
+        block = json.loads(out.read_text())["proximality"]
+        first, second = block["generator_certificates"]
+        assert first["passed"] and "error" not in first
+        assert second == {"generator": 2, "passed": False,
+                          "error": "insufficient samples: no samples outside "
+                                   "the eps-neighborhood of nt(x-)"}
+        assert [w["letters"] for w in block["cover"]["failures"]] == [[-1], [2]]
+        assert main(["scorecard", "--catalog", "margulis_positive_n1", "--ball", "1",
+                     "--samples", "1", "--r", "0.9", "--eps", "0.44",
+                     "--out", str(out)]) == 0
+
+    def test_certificate_not_transverse(self, monkeypatch, positive_doc,
+                                        small_params):
+        def fail(*args, **kwargs):
+            raise proximal.TransversalityError("pairing singular")
+        monkeypatch.setattr(reports, "is_r_eps_proximal", fail)
+        report = reports.run_report(reports.build_rep(positive_doc), small_params,
+                                    include=("proximality",))
+        certs = report.proximality["generator_certificates"]
+        assert certs == [{"generator": i, "passed": False,
+                          "error": "not transverse: pairing singular"}
+                         for i in (1, 2)]
+
+    def test_check_summary_bytes(self, capsys):
+        assert main(["check", "--catalog", "block_n2"]) == 0
+        rep = repcatalog.catalog_rep("block_n2")
+        summary = {"label": "block_n2", "n": 2, "rank": 2, "valid": True,
+                   "generators": [{"index": i + 1, "form_defect": float(abs(
+                       g.linear.T @ rep.space.form @ g.linear - rep.space.form).max())}
+                       for i, g in enumerate(rep.generators)]}
+        assert capsys.readouterr().out == json.dumps(summary, indent=2,
+                                                     sort_keys=True) + "\n"
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         def fail(*args, **kwargs):

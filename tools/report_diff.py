@@ -38,6 +38,9 @@ COMMANDS = [
     "spectrum --catalog margulis_positive_n1 --ball 8",
     # the n = 1 certificate path in a report without a scorecard
     "proximality --catalog margulis_positive_n1 --ball 3",
+    # the other two JSON writers: the check summary and a catalog document
+    "check --catalog block_n2",
+    "catalog margulis_positive_n1",
 ]
 
 
