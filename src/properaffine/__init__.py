@@ -19,7 +19,6 @@ from .core import (
     canonical_orientation,
     isotropic_frame,
     largest_principal_angle,
-    principal_angles,
     random_isotropic_frame,
     random_positive_definite_subspace,
     random_so_element,
@@ -57,10 +56,8 @@ from .proximal import (
     SpectralSplit,
     TransversalityError,
     ams_cover,
-    grassmann_distance,
     is_r_eps_proximal,
     neutral_vector,
-    nontransverse_distance,
     spectral_split,
     transverse,
 )

@@ -235,9 +235,12 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
     geometrically, which would drown the residual threshold without saying
     anything about contraction itself.  The ball is split once, by the
     spectrum; frames are sampled at generator level only, and each trace
-    reads its sample's frames and gap.  _bank is handed to ams_cover.
+    reads its sample's frames and gap.  _bank and the spectrum's class
+    splits (_frames) are handed to ams_cover.
     """
-    spec = spectrum(rep, ball_length, zero_tol=zero_tol, label=label)
+    frames = {}
+    spec = spectrum(rep, ball_length, zero_tol=zero_tol, label=label,
+                    _frames=frames)
     gen_samples, nonprox_generators = limit_map_samples(rep, 1)
     min_gap = min((e.gap for e in spec.entries), default=np.nan)
     # gate transversality at generator level: attracting points of distinct
@@ -260,7 +263,7 @@ def affine_anosov_scorecard(rep, ball_length=4, r=0.45, eps=0.21, samples=2000,
 
     cover = ams_cover(rep, r=r, eps=eps, ball_length=ball_length,
                       search_length=search_length, samples=samples, seed=seed,
-                      tol=rep.tol, _bank=_bank)
+                      tol=rep.tol, _bank=_bank, _frames=frames)
 
     reasons = []
     if nonprox_generators:

@@ -154,17 +154,13 @@ def _principal_angles(qa, qb):
     return np.where(cosv ** 2 >= 0.5, np.arcsin(sinv), np.arccos(cosv))
 
 
-def principal_angles(a, b):
-    """Principal angles between the spans of two column frames, ascending."""
+def largest_principal_angle(a, b):
+    """Largest principal angle between the spans of two column frames."""
     qa = orthonormalize_oriented(a)
     qb = orthonormalize_oriented(b)
     if qa.shape[1] != qb.shape[1]:
         raise FrameError("frames of unequal dimension have no principal-angle distance")
-    return np.sort(_principal_angles(qa, qb))
-
-
-def largest_principal_angle(a, b):
-    return float(principal_angles(a, b)[-1])
+    return float(_principal_angles(qa, qb).max())
 
 
 def spans_equal(a, b, tol=1e-8):
@@ -300,27 +296,37 @@ def _checked_isotropic(space, columns, tol):
     return frame
 
 
-def _checked_orthonormal_isotropic(space, columns, tol):
-    """The verdict of _checked_isotropic on a nearly orthonormal Z, mostly without SVDs.
+def _check_orthonormal_isotropic(space, z, tol):
+    """The verdicts of _checked_isotropic on nearly orthonormal Z, mostly without SVDs.
 
-    delta = k max|Z^T Z - I| + 1e-12 (a rounding allowance) bounds every
+    z is a (..., dim, k) stack and tol a scalar or an array over it.  delta =
+    k max|Z^T Z - I| + 1e-12 (a rounding allowance) bounds every
     |sigma(Z)^2 - 1|: delta < 0.5 passes the rank test, and a defect outside
     tol * (1 +- delta) decides max|Z^T J Z| <= tol * sigma_max^2.  Otherwise
-    _checked_isotropic runs.
+    _checked_isotropic runs.  Raises FrameError for the first failing frame.
     """
-    z = as_columns(columns)
-    k = z.shape[1]
-    delta = k * float(np.abs(z.T @ z - np.eye(k)).max()) + 1e-12
-    if delta < 0.5 and k == space.n:
-        defect = float(np.abs(space.gram(z)).max())
-        if defect <= tol * (1.0 - delta):
-            frame = object.__new__(SubspaceFrame)
-            object.__setattr__(frame, "columns", _readonly(z))
-            object.__setattr__(frame, "tol", DEFAULT_TOL)
-            return frame
-        if defect > tol * (1.0 + delta):
-            raise FrameError("frame is not isotropic: max |B^T J B| = %.3e" % defect)
-    return _checked_isotropic(space, z, tol)
+    k = z.shape[-1]
+    zt = np.swapaxes(z, -1, -2)
+    delta = k * np.abs(zt @ z - np.eye(k)).max(axis=(-2, -1)) + 1e-12
+    defect = np.abs(zt @ space.form @ z).max(axis=(-2, -1))
+    fast = (delta < 0.5) & (k == space.n)
+    if (fast & (defect <= tol * (1.0 - delta))).all():
+        return
+    tol = np.broadcast_to(tol, delta.shape)
+    failed = fast & (defect > tol * (1.0 + delta))
+    if failed.any():
+        raise FrameError("frame is not isotropic: max |B^T J B| = %.3e"
+                         % defect[failed].flat[0])
+    for i in zip(*np.nonzero(~fast | (defect > tol * (1.0 - delta)))):
+        _checked_isotropic(space, z[i], float(tol[i]))
+
+
+def _checked_frame(z):
+    """SubspaceFrame of columns that passed their checks, without a second SVD."""
+    frame = object.__new__(SubspaceFrame)
+    object.__setattr__(frame, "columns", _readonly(z))
+    object.__setattr__(frame, "tol", DEFAULT_TOL)
+    return frame
 
 
 def isotropic_frame(space, columns, tol=DEFAULT_TOL):
@@ -336,16 +342,17 @@ def isotropic_frame(space, columns, tol=DEFAULT_TOL):
     return IsotropicFrame(frame=frame, orientation=orientation)
 
 
-def _random_lie_element(space, rng, scale=0.5):
-    """X = M - J M^T J for a normal M; X solves X^T J + J X = 0 for any M."""
-    rng = np.random.default_rng(rng)
-    m = rng.normal(0.0, scale, size=(space.dim, space.dim))
-    return m - space.form @ m.T @ space.form
+def _random_lie_element(space, rngs, scale=0.5):
+    """Stack of X = M - J M^T J, a normal M from each rng; X^T J + J X = 0 for any M."""
+    m = np.empty((len(rngs), space.dim, space.dim))
+    for i, rng in enumerate(rngs):
+        m[i] = np.random.default_rng(rng).normal(0.0, scale, size=m.shape[1:])
+    return m - space.form @ np.swapaxes(m, -1, -2) @ space.form
 
 
 def random_so_element(space, rng, scale=0.5):
     """Element of the identity component, exp of a random Lie-algebra element."""
-    return scipy.linalg.expm(_random_lie_element(space, rng, scale))
+    return scipy.linalg.expm(_random_lie_element(space, [rng], scale)[0])
 
 
 def random_positive_definite_subspace(space, seed):

@@ -281,6 +281,30 @@ def conjugacy_key(word):
     return (bwd, True) if bwd < fwd else (fwd, False)
 
 
+def _conjugator(w):
+    """(y, c, inverted) with w = y c y^-1, or y c^-1 y^-1 when inverted.
+
+    w = x c' x^-1 is a reduced letter tuple, c' cyclically reduced; c is the
+    first rotation of c' or c'^-1 in ball order (a, a^-1, b, ...), the
+    member margulis.spectrum splits.  If u = a b is c' or c'^-1 and c = b a,
+    then u = a c a^-1 = b^-1 c b: y is the shortest x a or x b^-1, so
+    |y| <= |x| + |c'| / 2.  None for the empty word.
+    """
+    t = 0
+    while len(w) - 2 * t > 1 and w[t] == -w[-1 - t]:
+        t += 1
+    x, core = w[:t], w[t:len(w) - t]
+    sides = (core, tuple(-l for l in reversed(core)))
+    ranks = [tuple(2 * abs(l) - (l > 0) for l in u) for u in sides]
+    least = min((rk[i:] + rk[:i] for rk in ranks for i in range(len(core))),
+                default=None)
+    return min(((x + u[:i] if 2 * i <= len(u) else x + tuple(-l for l in reversed(u[i:])),
+                 u[i:] + u[:i], inverted)
+                for inverted, u, rk in zip((False, True), sides, ranks)
+                for i in range(len(u)) if rk[i:] + rk[:i] == least),
+               key=lambda found: len(found[0]), default=None)
+
+
 @dataclass(frozen=True)
 class FreeGroupRep:
     """Free-group representation: images of k generators, validated on entry."""

@@ -106,7 +106,7 @@ def _verdict(entries):
     return SpectrumVerdict("uniform_negative", ())
 
 
-def spectrum(rep, ball_length, zero_tol=None, label=""):
+def spectrum(rep, ball_length, zero_tol=None, label="", _frames=None):
     """Margulis invariants over the word ball, with the opposite-sign verdict.
 
     Words whose linear part is not proximal are skipped and recorded; a mixed
@@ -118,7 +118,9 @@ def spectrum(rep, ball_length, zero_tol=None, label=""):
     order, which is cyclically reduced and so one of the shortest, is split,
     and every later member carries its gap, length proxy and alpha,
     the latter times (-1)^(n+1) when the member is conjugate to the inverse.
-    Each word's sign still uses its own zero threshold.
+    Each word's sign still uses its own zero threshold.  _frames, if given,
+    receives each split member's letters with its stacked Schur frames
+    (V+, V-), or None: the class table of proximal.ams_cover.
     """
     parity = (-1.0) ** (rep.space.n + 1)
     classes = {}
@@ -132,12 +134,15 @@ def spectrum(rep, ball_length, zero_tol=None, label=""):
             try:
                 split = spectral_split(rep.space, g.linear, tol=rep.tol)
             except NotProximalError:
-                classes[key] = None
+                classes[key] = split = None
             else:
                 alpha = float(g.translation @ rep.space.form @ split.neutral)
                 classes[key] = (factor * alpha,
                                 float(np.log(split.eigenvalue_moduli[0])),
                                 split.gap)
+            if _frames is not None:
+                _frames[w.letters] = None if split is None else np.stack(
+                    [split.attracting.columns, split.repelling.columns])
         if classes[key] is None:
             skipped.append(w)
             continue

@@ -29,16 +29,22 @@ from .core import (
     as_columns,
     b_orthogonal_complement,
     isotropic_frame,
-    largest_principal_angle,
     orthonormalize_oriented,
     signature,
-    _checked_orthonormal_isotropic,
+    _check_orthonormal_isotropic,
+    _checked_frame,
     _orientation,
     _principal_angles,
     _random_lie_element,
     _readonly,
 )
-from .group import EMPTY_WORD, ball_elements, identity_isometry
+from .group import (
+    EMPTY_WORD,
+    ball_elements,
+    identity_isometry,
+    reduce_letters,
+    _conjugator,
+)
 
 
 class NotProximalError(GeometryError):
@@ -127,13 +133,12 @@ def _split_frames(space, a, tol):
     zm = _invariant_frame(a, lambda m: m <= lo, n)
     # isotropy is exact in theory; the numerical defect scales with the
     # conditioning of the eigenproblem, like the eigenvalues' error
-    vplus = _checked_orthonormal_isotropic(space, zp, thresh)
-    vminus = _checked_orthonormal_isotropic(space, zm, thresh)
+    _check_orthonormal_isotropic(space, np.stack([zp, zm]), thresh)
     separation = float(np.linalg.svd(zp.T @ space.form @ zm, compute_uv=False)[-1])
     if separation <= tol:
         raise TransversalityError("attracting/repelling pairing singular value "
                                   "%.3e below tolerance" % separation)
-    return moduli, vplus, vminus, separation
+    return moduli, _checked_frame(zp), _checked_frame(zm), separation
 
 
 def spectral_split(space, a, tol=DEFAULT_TOL):
@@ -251,22 +256,6 @@ class AffineFlagPair:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def grassmann_distance(l1, l2):
-    """Largest principal angle between two maximal isotropics; a metric."""
-    return largest_principal_angle(as_columns(l1), as_columns(l2))
-
-
-def nontransverse_distance(space, x, x_minus):
-    """Distance proxy to the non-transversality locus of x_minus.
-
-    Smallest singular value of the J-pairing of the Euclidean-orthonormalized
-    frames; vanishes exactly when the pair fails to be transverse.
-    """
-    qx = orthonormalize_oriented(as_columns(x))
-    qm = orthonormalize_oriented(as_columns(x_minus))
-    return float(np.linalg.svd(qx.T @ space.form @ qm, compute_uv=False)[-1])
-
-
 def sample_isotropic_bank(space, seed, samples):
     """Deterministic bank of orthonormal isotropic frames, a (samples, dim, n) array.
 
@@ -275,9 +264,7 @@ def sample_isotropic_bank(space, seed, samples):
     so it depends on (seed, i) only and a smaller bank is a prefix of a
     larger one.  Certificates use the frames as they are.
     """
-    x = np.empty((int(samples), space.dim, space.dim))
-    for i in range(int(samples)):
-        x[i] = _random_lie_element(space, (int(seed), i))
+    x = _random_lie_element(space, [(int(seed), i) for i in range(int(samples))])
     return orthonormalize_oriented(scipy.linalg.expm(x)[:, :, : space.n])
 
 
@@ -301,6 +288,50 @@ class ProximalityCertificate:
     passed: bool
 
 
+# elements x samples x dim^2 per chunk of a stacked certificate: at n = 2 and
+# 2000 samples one element, so a round's peak memory is one certificate's
+_CHUNK_FLOATS = 2 ** 16
+
+
+def _check_parameters(r, eps, samples):
+    if r <= 0 or eps <= 0 or eps >= r / 2.0:
+        raise ParameterError("need 0 < eps < r/2 (got r=%g, eps=%g)" % (r, eps))
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
+
+
+def _certify(space, g, xp, xm, bank, eps):
+    """(admissible, margin_attract) of the certificates of a stack of elements.
+
+    g is (m, dim, dim), xp and xm (m, dim, n) orthonormal frames of V+ and
+    V-.  At n = 1 every bank frame is mapped, and the least admissible |cos|
+    gives the largest angle, as arccos decreases; at n >= 2 only admissible
+    pairs are mapped.  margin is nan where no frame is admissible.
+    """
+    admissible = np.zeros(len(g), dtype=int)
+    margin = np.full(len(g), np.nan)
+    vecs = bank[:, :, 0].T
+    bank_j = np.swapaxes(bank, -1, -2) @ space.form
+    step = max(1, _CHUNK_FLOATS // (len(bank) * space.dim ** 2))
+    for part in (slice(lo, lo + step) for lo in range(0, len(g), step)):
+        if space.n == 1:
+            keep = np.abs((xm[part, :, 0] @ space.form) @ vecs) >= eps
+            img = g[part] @ vecs
+            img = img / np.linalg.norm(img, axis=1)[:, None]
+            cosines = np.where(keep, np.abs(xp[part, None, :, 0] @ img)[:, 0], np.inf)
+            worst = np.arccos(np.clip(cosines.min(axis=1), 0.0, 1.0))
+        else:
+            keep = np.linalg.svd(bank_j @ xm[part, None], compute_uv=False)[..., -1] >= eps
+            wi, si = np.nonzero(keep)
+            images = orthonormalize_oriented(g[part][wi] @ bank[si])
+            dists = np.full(keep.shape, -np.inf)
+            dists[wi, si] = _principal_angles(images, xp[part][wi]).max(axis=-1)
+            worst = dists.max(axis=1)
+        admissible[part] = np.count_nonzero(keep, axis=1)
+        margin[part] = np.where(admissible[part] > 0, eps - worst, np.nan)
+    return admissible, margin
+
+
 def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
                       _bank=None):
     """Certify that g is (r, eps)-proximal by seeded sampling.
@@ -312,50 +343,82 @@ def is_r_eps_proximal(space, g, r, eps, samples, seed, tol=DEFAULT_TOL,
     computed, with the checks of spectral_split; no orientation and no
     neutral vector.  x+ and x- are the split's orthonormal Schur frames, used
     as they are, and the separation is the split's transversality value, the
-    smallest singular value of their J-pairing.  _bank, if given, must be
+    smallest singular value of their J-pairing.  The sampling is the cover's
+    stacked kernel on a stack of one.  _bank, if given, must be
     sample_isotropic_bank(space, seed, samples).
     """
-    if r <= 0 or eps <= 0 or eps >= r / 2.0:
-        raise ParameterError("need 0 < eps < r/2 (got r=%g, eps=%g)" % (r, eps))
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    _check_parameters(r, eps, samples)
     _, vplus, vminus, separation = _split_frames(space, g, tol)
-    xp, xm = vplus.columns, vminus.columns
     bank = sample_isotropic_bank(space, seed, samples) if _bank is None else _bank
-    g = np.asarray(g, dtype=float)
-
-    if space.n == 1:
-        vecs = bank[:, :, 0].T                               # (dim, samples)
-        pair = np.abs((space.form @ xm[:, 0]) @ vecs)        # distance to nt(x-)
-        keep = pair >= eps
-        admissible = int(np.count_nonzero(keep))
-        if admissible == 0:
-            raise InsufficientSamplesError("no samples outside the eps-neighborhood "
-                                           "of nt(x-)")
-        img = g @ vecs[:, keep]
-        img = img / np.linalg.norm(img, axis=0)
-        cosines = np.clip(np.abs(xp[:, 0] @ img), 0.0, 1.0)
-        dists = np.arccos(cosines)
-        margin = float(np.min(eps - dists))
-    else:
-        pairing = np.linalg.svd(np.swapaxes(bank, -1, -2) @ space.form @ xm,
-                                compute_uv=False)
-        keep = pairing[:, -1] >= eps
-        admissible = int(np.count_nonzero(keep))
-        if admissible == 0:
-            raise InsufficientSamplesError("no samples outside the eps-neighborhood "
-                                           "of nt(x-)")
-        images = orthonormalize_oriented(g @ bank[keep])
-        dists = _principal_angles(images, xp).max(axis=-1)
-        margin = float(np.min(eps - dists))
-
-    passed = separation >= r and margin > 0.0
+    admissible, margin = _certify(space, np.asarray(g, dtype=float)[None],
+                                  vplus.columns[None], vminus.columns[None],
+                                  bank, eps)
+    if admissible[0] == 0:
+        raise InsufficientSamplesError("no samples outside the eps-neighborhood "
+                                       "of nt(x-)")
     return ProximalityCertificate(r=float(r), eps=float(eps),
                                   attracting=vplus, repelling=vminus,
                                   separation=separation,
-                                  margin_attract=margin,
-                                  samples=int(samples), admissible=admissible,
-                                  seed=int(seed), passed=passed)
+                                  margin_attract=float(margin[0]),
+                                  samples=int(samples), admissible=int(admissible[0]),
+                                  seed=int(seed),
+                                  passed=bool(separation >= r and margin[0] > 0.0))
+
+
+class _ClassFrames:
+    """V+ and V- of words, transported from one split per conjugacy class.
+
+    frames maps each split member's letters (group._conjugator) to its Schur
+    frames (V+, V-), stacked, or to None when it is not proximal or not
+    transverse; margulis.spectrum can fill it.  A missing class is split on
+    first use, from prefix elements cached bitwise equal to evaluate_word.
+    """
+
+    def __init__(self, rep, tol, frames=None):
+        self.rep, self.tol = rep, tol
+        self.frames = {} if frames is None else frames
+        self.prefixes = {(): np.eye(rep.space.dim)}
+
+    def element(self, letters):
+        if letters not in self.prefixes:
+            self.prefixes[letters] = (self.element(letters[:-1])
+                                      @ self.rep.letter_image(letters[-1]).linear)
+        return self.prefixes[letters]
+
+    def split(self, c):
+        if c not in self.frames:
+            try:
+                _, vp, vm, _ = _split_frames(self.rep.space, self.element(c), self.tol)
+                self.frames[c] = np.stack([vp.columns, vm.columns])
+            except (NotProximalError, TransversalityError):
+                self.frames[c] = None
+        return self.frames[c]
+
+    def transported(self, words, g):
+        """(live, q, separation) of products with reduced letters words and matrices g.
+
+        live indexes the products of proximal classes; q holds their
+        A_y (V+(c), V-(c)), swapped for c^-1, orthonormalized in one QR and
+        checked for rank and isotropy against tol * (1 + ||g||_2); separation
+        is the smallest singular value of each J-pairing.
+        """
+        space = self.rep.space
+        live, ay, v = [], [], []
+        for i, w in enumerate(words):
+            found = _conjugator(w)
+            frames = None if found is None else self.split(found[1])
+            if frames is not None:
+                live.append(i)
+                ay.append(self.element(found[0]))
+                v.append(frames[::-1] if found[2] else frames)
+        live = np.array(live, dtype=int)
+        q = orthonormalize_oriented(np.reshape(ay, (-1, 1, space.dim, space.dim))
+                                    @ np.reshape(v, (-1, 2, space.dim, space.n)))
+        norms = np.linalg.svd(g[live], compute_uv=False)[:, 0]
+        _check_orthonormal_isotropic(space, q, (self.tol * (1.0 + norms))[:, None])
+        separation = np.linalg.svd(np.swapaxes(q[:, 0], -1, -2) @ space.form @ q[:, 1],
+                                   compute_uv=False)[:, -1]
+        return live, q, separation
 
 
 @dataclass(frozen=True)
@@ -372,43 +435,45 @@ class AmsCover:
 
 
 def ams_cover(rep, r, eps, ball_length, search_length, samples=2000, seed=0,
-              tol=DEFAULT_TOL, _bank=None):
+              tol=DEFAULT_TOL, _bank=None, _frames=None):
     """Search a finite set S with s*g (r, eps)-proximal for every ball word.
 
     For every word g in the ball, candidate correctors are tried in
     deterministic order (empty word first, then the search ball); the first s
     whose product passes the certificate wins.  Words with no corrector are
-    reported as failures, not errors.  _bank, if given, must be
-    sample_isotropic_bank(rep.space, seed, samples).
+    reported as failures, not errors.  Round k certifies candidate k for
+    every word still uncovered, as one stacked computation, on frames
+    transported from one split per conjugacy class (_ClassFrames), with the
+    checks of is_r_eps_proximal.  _bank, if given, must be
+    sample_isotropic_bank(rep.space, seed, samples); _frames, if given, is
+    the class table margulis.spectrum filled with the same tol.
     """
     if ball_length < 1 or search_length < 1:
         raise ParameterError("ball and search lengths must be >= 1")
-    space = rep.space
-    candidates = [(EMPTY_WORD, identity_isometry(space))]
-    candidates += ball_elements(rep, search_length)
-    if _bank is None:
-        _bank = sample_isotropic_bank(space, seed, samples)
-    assignment = {}
-    failures = []
-    used = []
-    for w, gw in ball_elements(rep, ball_length):
-        hit = None
-        for s, gs in candidates:
-            try:
-                cert = is_r_eps_proximal(space, gs.linear @ gw.linear, r, eps,
-                                         samples, seed, tol=tol, _bank=_bank)
-            except (NotProximalError, TransversalityError,
-                    InsufficientSamplesError):
-                continue
-            if cert.passed:
-                hit = s
-                break
-        if hit is None:
-            failures.append(w)
-        else:
-            assignment[w] = hit
-            if hit not in used:
-                used.append(hit)
+    _check_parameters(r, eps, samples)
+    bank = sample_isotropic_bank(rep.space, seed, samples) if _bank is None else _bank
+    table = _ClassFrames(rep, tol, _frames)
+    words, gw = zip(*((w, g.linear) for w, g in ball_elements(rep, ball_length)))
+    gw = np.array(gw)
+    hits = [None] * len(words)
+    uncovered = np.arange(len(words))
+    for s, gs in [(EMPTY_WORD, identity_isometry(rep.space)),
+                  *ball_elements(rep, search_length)]:
+        if not uncovered.size:
+            break
+        g = gs.linear @ gw[uncovered]
+        live, q, separation = table.transported(
+            [reduce_letters(s.letters + words[i].letters).letters for i in uncovered], g)
+        ok = separation > tol
+        live, q = live[ok], q[ok]
+        admissible, margin = _certify(rep.space, g[live], q[:, 0], q[:, 1], bank, eps)
+        passed = np.zeros(len(uncovered), dtype=bool)
+        passed[live] = (admissible > 0) & (separation[ok] >= r) & (margin > 0.0)
+        for i in uncovered[passed]:
+            hits[i] = s
+        uncovered = uncovered[~passed]
+    assignment = {w: s for w, s in zip(words, hits) if s is not None}
     return AmsCover(r=float(r), eps=float(eps), ball_length=int(ball_length),
                     search_length=int(search_length), assignment=assignment,
-                    correcting_set=tuple(used), failures=tuple(failures))
+                    correcting_set=tuple(dict.fromkeys(assignment.values())),
+                    failures=tuple(w for w, s in zip(words, hits) if s is None))

@@ -281,8 +281,14 @@ def frame_verdict(check, space, z, tol):
             frame.columns.flags.writeable)
 
 
+def checked_orthonormal_isotropic(space, z, tol):
+    """The stacked check on a stack of one, then the frame it passed."""
+    core._check_orthonormal_isotropic(space, z[None], tol)
+    return core._checked_frame(z)
+
+
 class TestOrthonormalIsotropicCheck:
-    """_checked_orthonormal_isotropic has exactly _checked_isotropic's verdicts."""
+    """_check_orthonormal_isotropic has exactly _checked_isotropic's verdicts."""
 
     @pytest.fixture()
     def fallbacks(self, monkeypatch):
@@ -295,7 +301,7 @@ class TestOrthonormalIsotropicCheck:
         return calls
 
     def same_verdict(self, space, z, tol):
-        got = frame_verdict(core._checked_orthonormal_isotropic, space, z, tol)
+        got = frame_verdict(checked_orthonormal_isotropic, space, z, tol)
         assert got == frame_verdict(CHECKED_ISOTROPIC, space, z, tol)
         return got
 

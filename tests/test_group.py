@@ -168,6 +168,28 @@ class TestWords:
             assert group.conjugacy_key(rotated.inverse()) == (key, not inverted)
         assert group.conjugacy_key(group.ReducedWord((1, 2, 2, 1, 2)))[0] != key
 
+    def test_conjugator(self):
+        # w = y c y^-1 (or y c^-1 y^-1), c the class's first word in ball
+        # order, y the shorter way round the rotation
+        first = {}
+        for w in group.word_ball(2, 6):
+            first.setdefault(group.conjugacy_key(w)[0], w.letters)
+        for w in group.word_ball(2, 6):
+            y, c, inverted = group._conjugator(w.letters)
+            # c is the class's member the spectrum splits
+            assert c == first[group.conjugacy_key(w)[0]]
+            word_c = group.ReducedWord(c)
+            middle = word_c.inverse() if inverted else word_c
+            product = group.concat(group.concat(group.ReducedWord(y), middle),
+                                   group.ReducedWord(y).inverse())
+            assert product == w
+            # the shorter way round the rotation
+            core = w.letters
+            while len(core) > 1 and core[0] == -core[-1]:
+                core = core[1:-1]
+            assert len(y) <= (len(w) - len(core)) // 2 + len(core) // 2
+        assert group._conjugator(()) is None
+
     def test_reduce_letters(self):
         assert group.reduce_letters((1, 2, -2, -1, 1)).letters == (1,)
         assert group.reduce_letters(()).letters == ()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from properaffine import core, group, proximal, repcatalog
+from properaffine import core, group, margulis, proximal, repcatalog
 
 
 @pytest.fixture(scope="module")
@@ -236,13 +236,18 @@ class TestTransverse:
                                     basis[:, :3], basis[:, :3])
 
 
+def grassmann_distance(l1, l2):
+    """The metric on maximal isotropics: the largest principal angle."""
+    return core.largest_principal_angle(core.as_columns(l1), core.as_columns(l2))
+
+
 class TestGrassmannDistance:
     def test_identity_of_indiscernibles(self, space1):
         frame = core.random_isotropic_frame(space1, 5)
-        assert proximal.grassmann_distance(frame, frame) < 1e-12
+        assert grassmann_distance(frame, frame) < 1e-12
 
     def test_orthogonal_lines(self, space1):
-        assert proximal.grassmann_distance(np.eye(3)[:, :1], np.eye(3)[:, 2:3]) \
+        assert grassmann_distance(np.eye(3)[:, :1], np.eye(3)[:, 2:3]) \
             == pytest.approx(np.pi / 2)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -252,16 +257,16 @@ class TestGrassmannDistance:
             a = core.random_isotropic_frame(space, t)
             b = core.random_isotropic_frame(space, t + 1)
             c = core.random_isotropic_frame(space, t + 2)
-            dab = proximal.grassmann_distance(a, b)
-            dbc = proximal.grassmann_distance(b, c)
-            dac = proximal.grassmann_distance(a, c)
+            dab = grassmann_distance(a, b)
+            dbc = grassmann_distance(b, c)
+            dac = grassmann_distance(a, c)
             assert dac <= dab + dbc + 1e-9
 
     def test_symmetry(self, space2):
         a = core.random_isotropic_frame(space2, 11)
         b = core.random_isotropic_frame(space2, 12)
-        assert proximal.grassmann_distance(a, b) == \
-            pytest.approx(proximal.grassmann_distance(b, a), abs=1e-12)
+        assert grassmann_distance(a, b) == \
+            pytest.approx(grassmann_distance(b, a), abs=1e-12)
 
 
 class TestCertificates:
@@ -431,11 +436,15 @@ class TestBatchedCertificate:
     def test_insufficient_samples_n2(self, space2):
         g = np.diag([3.0, 2.0, 1.0, 1 / 3.0, 0.5])
         split = proximal.spectral_split(space2, g)
-        xm = core.orthonormalize_oriented(split.repelling.columns)
+        xm = split.repelling.columns
         hit = None
         for seed in range(300):
+            # bank frames and Schur columns are orthonormal: the distance to
+            # nt(x-) is the smallest singular value of their J-pairing
             bank = proximal.sample_isotropic_bank(space2, seed, 2)
-            if all(proximal.nontransverse_distance(space2, f, xm) < 0.9 for f in bank):
+            pairing = np.linalg.svd(np.swapaxes(bank, 1, 2) @ space2.form @ xm,
+                                    compute_uv=False)
+            if np.all(pairing[:, -1] < 0.9):
                 hit = seed
                 break
         assert hit is not None
@@ -495,3 +504,140 @@ class TestAmsCover:
                                    search_length=2, samples=400, seed=2)
         assert small.assignment == large.assignment
         assert len(large.correcting_set) <= len(small.correcting_set)
+
+
+def reference_cover(rep, r, eps, ball_length, search_length, samples, seed,
+                    tried=None):
+    """The per-word cover search the stacked rounds replace.
+
+    Each ball word tries the candidates in order, with one certificate on the
+    product's own split each; tried, if given, receives every product word
+    that was certified.  Returns (assignment, correcting_set, failures).
+    """
+    space = rep.space
+    candidates = [(group.EMPTY_WORD, group.identity_isometry(space))]
+    candidates += group.ball_elements(rep, search_length)
+    bank = proximal.sample_isotropic_bank(space, seed, samples)
+    assignment, used, failures = {}, [], []
+    for w, gw in group.ball_elements(rep, ball_length):
+        hit = None
+        for s, gs in candidates:
+            if tried is not None:
+                tried.append(group.concat(s, w))
+            try:
+                cert = proximal.is_r_eps_proximal(space, gs.linear @ gw.linear, r,
+                                                  eps, samples, seed, tol=rep.tol,
+                                                  _bank=bank)
+            except (proximal.NotProximalError, proximal.TransversalityError,
+                    proximal.InsufficientSamplesError):
+                continue
+            if cert.passed:
+                hit = s
+                break
+        if hit is None:
+            failures.append(w)
+        else:
+            assignment[w] = hit
+            if hit not in used:
+                used.append(hit)
+    return assignment, tuple(used), tuple(failures)
+
+
+def conjugated_rep(name, scale):
+    """A catalog entry conjugated by the non-orthogonal h = random_so_element(space, 5, scale)."""
+    rep = repcatalog.catalog_rep(name)
+    h = core.random_so_element(rep.space, 5, scale=scale)
+    h_inv = np.linalg.inv(h)
+    return group.FreeGroupRep(space=rep.space, generators=tuple(
+        group.AffineIsometry(rep.space, h @ g.linear @ h_inv, h @ g.translation)
+        for g in rep.generators))
+
+
+N1_CATALOGS = ("margulis_positive_n1", "mixed_sign_n1", "linear_only")
+# (representation, ball, search, seed); n = 2 runs at 300 samples to stay quick
+COVER_CASES = (
+    [(name, ball, 1, 0) for name in N1_CATALOGS + ("block_n2",)
+     for ball in (1, 2, 3, 4)]
+    + [("margulis_positive_n1", 4, 2, 7), ("block_n2", 2, 2, 7),
+       ("mixed_sign_n1", 3, 1, 7), ("block_n2", 3, 1, 7)]
+    + [(("margulis_positive_n1", scale), 3, 1, seed)
+       for scale in (0.1, 0.3) for seed in (0, 7)]
+    + [(("block_n2", scale), 2, 1, seed) for scale in (0.1, 0.3) for seed in (0, 7)]
+)
+
+
+class TestStackedCover:
+    """The rounds on transported frames decide exactly as the per-word search."""
+
+    @pytest.mark.parametrize("name, ball, search, seed", COVER_CASES,
+                             ids=lambda v: "%s@%g" % v if isinstance(v, tuple) else None)
+    def test_matches_per_word_search(self, name, ball, search, seed):
+        rep = (conjugated_rep(*name) if isinstance(name, tuple)
+               else repcatalog.catalog_rep(name))
+        samples = 2000 if rep.space.n == 1 else 300
+        cover = proximal.ams_cover(rep, 0.45, 0.21, ball, search, samples, seed,
+                                   tol=rep.tol)
+        assignment, correcting_set, failures = reference_cover(
+            rep, 0.45, 0.21, ball, search, samples, seed)
+        assert cover.assignment == assignment
+        assert cover.correcting_set == correcting_set
+        assert cover.failures == failures
+
+    def split_calls(self, monkeypatch):
+        calls = []
+        real = proximal._split_frames
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(proximal, "_split_frames", counting)
+        return calls
+
+    def test_one_split_per_class(self, monkeypatch, schottky):
+        tried = []
+        expected = reference_cover(schottky, 0.45, 0.21, 4, 2, 600, 3, tried=tried)
+        classes = {group.conjugacy_key(w)[0] for w in tried if len(w)}
+        calls = self.split_calls(monkeypatch)
+        cover = proximal.ams_cover(schottky, 0.45, 0.21, 4, 2, 600, 3)
+        assert len(calls) == len(classes)
+        # seeded by the spectrum, the cover splits only the classes it lacks
+        frames = {}
+        margulis.spectrum(schottky, 4, _frames=frames)
+        seeded = {group.conjugacy_key(group.ReducedWord(c))[0] for c in frames}
+        del calls[:]
+        seeded_cover = proximal.ams_cover(schottky, 0.45, 0.21, 4, 2, 600, 3,
+                                          _frames=frames)
+        assert len(calls) == len(classes - seeded) > 0
+        for got in (cover, seeded_cover):
+            assert (got.assignment, got.correcting_set, got.failures) == expected
+
+
+def mp_separation(rep, letters, digits=50):
+    """|b(v+, v-)| / (|v+| |v-|) of the eigenvectors of the word, to `digits` digits (n = 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        m = mpmath.eye(rep.space.dim)
+        for letter in letters:
+            m = m * mpmath.matrix(rep.letter_image(letter).linear.tolist())
+        values, vectors = mpmath.eig(m)
+        order = sorted(range(len(values)), key=lambda i: abs(values[i]))
+        vm, vp = vectors[:, order[0]], vectors[:, order[-1]]
+        j = mpmath.matrix(rep.space.form.tolist())
+        return float(abs((vp.T * j * vm)[0]) / (mpmath.norm(vp) * mpmath.norm(vm)))
+
+
+class TestTransportedSeparation:
+    # b (b b a^-1 b^-1 b^-1) = b b (a b^-1)^-1 b^-1 b^-1: its separation is
+    # about 2e-5, and a split of the product matrix is 3.9e-5 relative off;
+    # a a a a a b^-1 is its class's split member
+    @pytest.mark.parametrize("corrector, word", [((2,), (2, 2, -1, -2, -2)),
+                                                 ((), (1, 1, 1, 1, 1, -2))])
+    def test_against_50_digit_eigenvectors(self, schottky, corrector, word):
+        gs = group.evaluate_word(schottky, group.ReducedWord(corrector)).linear
+        gw = group.evaluate_word(schottky, group.ReducedWord(word)).linear
+        letters = group.reduce_letters(corrector + word).letters
+        table = proximal._ClassFrames(schottky, schottky.tol)
+        live, _, separation = table.transported([letters], (gs @ gw)[None])
+        assert live.tolist() == [0]
+        exact = mp_separation(schottky, letters)
+        assert separation[0] == pytest.approx(exact, rel=1e-10, abs=0)

@@ -38,6 +38,10 @@ COMMANDS = [
     "spectrum --catalog margulis_positive_n1 --ball 8",
     # the n = 1 certificate path in a report without a scorecard
     "proximality --catalog margulis_positive_n1 --ball 3",
+    # longer correctors: some cancel into the word, some products reduce to
+    # the identity, conjugators grow longer, and n = 2 runs several rounds
+    "scorecard --catalog margulis_positive_n1 --ball 4 --search 2",
+    "scorecard --catalog block_n2 --ball 2 --search 2",
     # the other two JSON writers: the check summary and a catalog document
     "check --catalog block_n2",
     "catalog margulis_positive_n1",
